@@ -159,8 +159,11 @@ var (
 // Name returns the spec's algorithm name.
 func (l *specLock) Name() string { return l.spec.Name }
 
-// env prepares thread t's environment for one operation.
-func (l *specLock) env(t *Thread, deadline time.Time) *specEnv {
+// env returns thread t's environment for one operation. A pooled
+// environment is left unbounded, unfired and with no spin count by the
+// acquire that last used it, so binding the thread is all an operation
+// has to do.
+func (l *specLock) env(t *Thread) *specEnv {
 	var e *specEnv
 	if l.envs != nil {
 		e = &l.envs[t.id]
@@ -168,43 +171,49 @@ func (l *specLock) env(t *Thread, deadline time.Time) *specEnv {
 		e = &specEnv{l: l}
 	}
 	e.t = t
-	e.deadline = deadline
-	e.timed = !deadline.IsZero()
-	e.fired = false
-	e.spins = 0
 	return e
 }
 
-// acquire runs the spec's acquire body; a zero deadline means unbounded.
-func (l *specLock) acquire(t *Thread, deadline time.Time) bool {
-	e := l.env(t, deadline)
-	ok := l.spec.Acquire(e, l.tun)
-	if e.fired {
-		l.spun(t, e.spins)
-	}
-	return ok
+// finish reports an acquire's spin work and returns its environment to
+// the idle state env relies on.
+func (l *specLock) finish(e *specEnv) {
+	l.spun(e.t, e.spins)
+	e.fired, e.spins = false, 0
 }
 
 // Acquire runs the unbounded acquire.
-func (l *specLock) Acquire(t *Thread) { l.acquire(t, time.Time{}) }
+func (l *specLock) Acquire(t *Thread) {
+	e := l.env(t)
+	l.spec.Acquire(e, &l.tun)
+	if e.fired {
+		l.finish(e)
+	}
+}
 
 // acquireFor is the timed acquire backing TimedLock (d <= 0 = no bound).
 func (l *specLock) acquireFor(t *Thread, d time.Duration) bool {
 	if d <= 0 {
-		l.acquire(t, time.Time{})
+		l.Acquire(t)
 		return true
 	}
-	return l.acquire(t, time.Now().Add(d))
+	e := l.env(t)
+	e.timed, e.deadline = true, time.Now().Add(d)
+	ok := l.spec.Acquire(e, &l.tun)
+	e.timed = false
+	if e.fired {
+		l.finish(e)
+	}
+	return ok
 }
 
 // Release runs the spec's release body.
 func (l *specLock) Release(t *Thread) {
-	l.spec.Release(l.env(t, time.Time{}), l.tun)
+	l.spec.Release(l.env(t), &l.tun)
 }
 
 // tryAcquire runs the spec's non-blocking attempt.
 func (l *specLock) tryAcquire(t *Thread) bool {
-	return l.spec.TryBody(l.env(t, time.Time{}), l.tun)
+	return l.spec.TryBody(l.env(t), &l.tun)
 }
 
 // quiescent runs the spec's quiescence probe over the raw words.

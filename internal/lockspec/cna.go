@@ -66,7 +66,7 @@ func cnaSpec() *Spec {
 			return nil
 		},
 	}
-	s.Acquire = func(e Env, tun Tuning) bool {
+	s.Acquire = func(e Env, tun *Tuning) bool {
 		me := e.TID()
 		e.Store(cnaNext, me, 0)
 		e.Store(cnaSpin, me, 0)
@@ -82,14 +82,14 @@ func cnaSpec() *Spec {
 		e.AwaitLink(cnaSpin, me)
 		return true
 	}
-	s.TryBody = func(e Env, tun Tuning) bool {
+	s.TryBody = func(e Env, tun *Tuning) bool {
 		me := e.TID()
 		e.Store(cnaNext, me, 0)
 		e.Store(cnaNode, me, uint64(e.Node()))
 		e.Store(cnaSpin, me, 1)
 		return e.CASOnce(cnaTail, 0, 0, cnaEnc(me))
 	}
-	s.Release = func(e Env, tun Tuning) {
+	s.Release = func(e Env, tun *Tuning) {
 		me := e.TID()
 		v := e.Load(cnaSpin, me)
 		var secHead, secTail uint64 // enc; 0 = empty secondary queue

@@ -64,11 +64,11 @@ func hboSpec(name string, mode hboMode) *Spec {
 		},
 		Words:  words,
 		Inject: &Ref{W: hboLock, I: 0},
-		Release: func(e Env, tun Tuning) {
+		Release: func(e Env, tun *Tuning) {
 			// hbo_release (Figure 1, lines 62–65).
 			e.Store(hboLock, 0, hboFree)
 		},
-		TryBody: func(e Env, tun Tuning) bool {
+		TryBody: func(e Env, tun *Tuning) bool {
 			if gt && e.Load(hboSpin, e.Node()) == e.Tag() {
 				return false // a neighbor holds the node back; don't barge
 			}
@@ -93,7 +93,7 @@ func hboSpec(name string, mode hboMode) *Spec {
 	// hbo_acquire_slowpath (lines 17–61; Figure 2 replaces the remote
 	// loop's tail in GT_SD mode). The paper's goto start / goto restart
 	// structure is kept verbatim.
-	s.Acquire = func(e Env, tun Tuning) bool {
+	s.Acquire = func(e Env, tun *Tuning) bool {
 		my := hboNodeVal(e.Node())
 		if gt {
 			// Line 5: while (L == is_spinning[my_node_id]) ; // spin

@@ -150,7 +150,7 @@ func hmcstSpec() *Spec {
 	// acquireGlobal enqueues the node's representative on the global
 	// queue and waits, returning the gnode's enc (0 means the deadline
 	// expired; the aborted gnode stays queued until a sweep frees it).
-	acquireGlobal := func(e Env, tun Tuning) uint64 {
+	acquireGlobal := func(e Env, tun *Tuning) uint64 {
 		node := e.Node()
 		slot := claimSlot(e, hmGStat, hmGNext, node*2)
 		if slot < 0 {
@@ -173,7 +173,7 @@ func hmcstSpec() *Spec {
 		return enc // a granter beat our abort: accept, even past the deadline
 	}
 
-	s.Acquire = func(e Env, tun Tuning) bool {
+	s.Acquire = func(e Env, tun *Tuning) bool {
 		me, node := e.TID(), e.Node()
 		slot := claimSlot(e, hmLStat, hmLNext, me*2)
 		if slot < 0 {
@@ -218,7 +218,7 @@ func hmcstSpec() *Spec {
 		return true
 	}
 
-	s.Release = func(e Env, tun Tuning) {
+	s.Release = func(e Env, tun *Tuning) {
 		me, node := e.TID(), e.Node()
 		h := me*2 + int(e.Scratch()[0])
 		gEnc := e.Scratch()[1]

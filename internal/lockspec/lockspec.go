@@ -214,12 +214,12 @@ type Spec struct {
 	// environment's deadline expired (an unbounded Env never expires).
 	// An abort must restore every protocol invariant, so Quiesce
 	// passes after any mix of aborts.
-	Acquire func(e Env, tun Tuning) bool
+	Acquire func(e Env, tun *Tuning) bool
 	// Release releases a held lock.
-	Release func(e Env, tun Tuning)
+	Release func(e Env, tun *Tuning)
 	// TryBody, when non-nil, is the single non-blocking acquisition
 	// attempt backing the native TryLocker.
-	TryBody func(e Env, tun Tuning) bool
+	TryBody func(e Env, tun *Tuning) bool
 	// Quiesce, when non-nil, verifies all shared state is idle.
 	Quiesce func(q Peeker) error
 	// Inject, when non-nil, names the raw lock word the fault-injection

@@ -161,3 +161,36 @@ func TestRegistryWellFormed(t *testing.T) {
 		t.Fatalf("paper names = %v", lockspec.PaperNames())
 	}
 }
+
+// TestUncontendedPairAllocatesNothing guards the instantiation layer's
+// fast path in both stacks: once a thread has used a lock, an
+// uncontended Acquire+Release must not touch the heap — the pooled
+// per-thread environments exist for exactly this.
+func TestUncontendedPairAllocatesNothing(t *testing.T) {
+	for _, s := range lockspec.All() {
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			m, cpus, r := testTopology()
+			sl := simlock.New(s.Name, m, 0, cpus, simlock.DefaultTuning())
+			m.Spawn(cpus[0], func(p *machine.Proc) {
+				pair := func() { sl.Acquire(p, 0); sl.Release(p, 0) }
+				pair()
+				if n := testing.AllocsPerRun(100, pair); n != 0 {
+					t.Errorf("sim: %v allocs per uncontended pair", n)
+				}
+			})
+			m.Run()
+
+			if s.SimOnly {
+				return
+			}
+			nl := core.New(s.Name, r, core.DefaultTuning())
+			th := r.RegisterThread(0)
+			pair := func() { nl.Acquire(th); nl.Release(th) }
+			pair()
+			if n := testing.AllocsPerRun(100, pair); n != 0 {
+				t.Errorf("native: %v allocs per uncontended pair", n)
+			}
+		})
+	}
+}

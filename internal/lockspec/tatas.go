@@ -12,7 +12,7 @@ func tatasSpec() *Spec {
 			Paper: true, Timed: true, Try: true,
 		},
 		Words: []Word{{Name: "lock"}},
-		Acquire: func(e Env, tun Tuning) bool {
+		Acquire: func(e Env, tun *Tuning) bool {
 			for {
 				if e.TAS(0, 0) == 0 {
 					return true
@@ -27,8 +27,8 @@ func tatasSpec() *Spec {
 				}
 			}
 		},
-		Release: func(e Env, tun Tuning) { e.Store(0, 0, 0) },
-		TryBody: func(e Env, tun Tuning) bool {
+		Release: func(e Env, tun *Tuning) { e.Store(0, 0, 0) },
+		TryBody: func(e Env, tun *Tuning) bool {
 			return e.Load(0, 0) == 0 && e.TAS(0, 0) == 0
 		},
 	}
@@ -45,7 +45,7 @@ func tatasExpSpec() *Spec {
 			Paper: true, Timed: true, Try: true,
 		},
 		Words: []Word{{Name: "lock"}},
-		Acquire: func(e Env, tun Tuning) bool {
+		Acquire: func(e Env, tun *Tuning) bool {
 			if e.TAS(0, 0) == 0 {
 				return true
 			}
@@ -64,8 +64,8 @@ func tatasExpSpec() *Spec {
 				}
 			}
 		},
-		Release: func(e Env, tun Tuning) { e.Store(0, 0, 0) },
-		TryBody: func(e Env, tun Tuning) bool {
+		Release: func(e Env, tun *Tuning) { e.Store(0, 0, 0) },
+		TryBody: func(e Env, tun *Tuning) bool {
 			return e.Load(0, 0) == 0 && e.TAS(0, 0) == 0
 		},
 	}

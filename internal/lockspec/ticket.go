@@ -22,12 +22,12 @@ func ticketSpec() *Spec {
 			Doc:  "FIFO ticket lock with proportional backoff",
 		},
 		Words: []Word{{Name: "next"}, {Name: "owner"}},
-		Acquire: func(e Env, tun Tuning) bool {
+		Acquire: func(e Env, tun *Tuning) bool {
 			my := e.FetchInc(tkNext, 0)
 			e.GrantWait(tkOwner, 0, my)
 			return true
 		},
-		Release: func(e Env, tun Tuning) {
+		Release: func(e Env, tun *Tuning) {
 			// Only the holder writes owner, so a plain increment is safe.
 			e.HolderInc(tkOwner, 0)
 		},

@@ -25,6 +25,10 @@ type specLock struct {
 	// declaration order, elements in index order.
 	addrs   [][]machine.Addr
 	scratch [][4]uint64
+	// envs[tid] is thread tid's pooled environment, so an acquire
+	// allocates nothing. A thread runs one operation at a time per lock,
+	// and a pooled env's deadline is zero outside a timed acquire.
+	envs []simEnv
 }
 
 // FromSpec instantiates a spec-backed algorithm on machine m. home is
@@ -46,6 +50,10 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 		threads: len(cpus),
 		addrs:   make([][]machine.Addr, len(spec.Words)),
 		scratch: make([][4]uint64, len(cpus)),
+		envs:    make([]simEnv, len(cpus)),
+	}
+	for tid := range l.envs {
+		l.envs[tid] = simEnv{l: l, tid: tid}
 	}
 	for wi, w := range spec.Words {
 		as := make([]machine.Addr, w.Elems(nodes, len(cpus)))
@@ -108,12 +116,19 @@ func (l *specLock) Name() string { return l.spec.Name }
 
 func (l *specLock) wordAddr(w, i int) machine.Addr { return l.addrs[w][i] }
 
+// env returns thread tid's pooled environment, bound to p.
+func (l *specLock) env(p *machine.Proc, tid int) *simEnv {
+	e := &l.envs[tid]
+	e.p = p
+	return e
+}
+
 func (l *specLock) Acquire(p *machine.Proc, tid int) {
-	l.spec.Acquire(&simEnv{l: l, p: p, tid: tid}, l.tun)
+	l.spec.Acquire(l.env(p, tid), &l.tun)
 }
 
 func (l *specLock) Release(p *machine.Proc, tid int) {
-	l.spec.Release(&simEnv{l: l, p: p, tid: tid}, l.tun)
+	l.spec.Release(l.env(p, tid), &l.tun)
 }
 
 func (l *specLock) acquireTimeout(p *machine.Proc, tid int, d sim.Time) bool {
@@ -121,7 +136,11 @@ func (l *specLock) acquireTimeout(p *machine.Proc, tid int, d sim.Time) bool {
 		l.Acquire(p, tid)
 		return true
 	}
-	return l.spec.Acquire(&simEnv{l: l, p: p, tid: tid, deadline: p.Now() + d}, l.tun)
+	e := l.env(p, tid)
+	e.deadline = p.Now() + d
+	ok := l.spec.Acquire(e, &l.tun)
+	e.deadline = 0
+	return ok
 }
 
 func (l *specLock) quiescent(m *machine.Machine) error {
@@ -166,7 +185,7 @@ func (q simPeeker) Peek(w, i int) uint64 { return q.m.Peek(q.l.addrs[w][i]) }
 func (q simPeeker) Nodes() int           { return q.l.nodes }
 func (q simPeeker) Threads() int         { return q.l.threads }
 
-// simEnv is the per-acquire execution environment. deadline 0 means
+// simEnv is one thread's execution environment. deadline 0 means
 // unbounded. Deadline checks read only the simulated clock, so a spec
 // body's unbounded path issues the exact event sequence of the
 // hand-written lock it replaced.
