@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -60,8 +61,8 @@ func Clu1(o Options) []*stats.Table {
 	nodeCounts := clu1Nodes(o)
 	policies := []machine.ClusterPolicy{machine.ClusterTATASExp, machine.ClusterHBO}
 	cells := make([]machine.ClusterResult, len(nodeCounts)*len(policies))
-	workers := o.simWorkersFor(len(cells))
-	o.parfor(len(cells), func(i int) {
+	pool, workers := o.composeFor(len(cells))
+	par.ForEach(pool, len(cells), func(i int) {
 		nodes, pol := nodeCounts[i/len(policies)], policies[i%len(policies)]
 		cells[i] = machine.RunCluster(clu1Config(nodes, pol, o, 1), workers)
 	})

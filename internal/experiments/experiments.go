@@ -35,7 +35,7 @@ type Options struct {
 	// host cores one partitioned simulation (the cluster-scale machine,
 	// sim.ParEngine) may use. It composes with Parallel — Parallel fans
 	// *across* cells, SimWorkers fans *inside* one — and the product is
-	// capped at GOMAXPROCS (see simWorkersFor). Classic word-level
+	// capped at GOMAXPROCS (see composeFor). Classic word-level
 	// machine cells are single-partition and ignore it. Like Parallel,
 	// any value produces byte-identical tables and JSON reports; only
 	// wall-clock time changes.
@@ -82,19 +82,19 @@ func (o Options) simWorkers() int {
 	return o.SimWorkers
 }
 
-// simWorkersFor returns the PDES worker width one of `cells` concurrent
-// simulations may use, capping the cell-level × intra-run product at
-// GOMAXPROCS (par.Compose) so the two fan-out layers compose instead of
-// oversubscribing the host. The cap only trims wall-clock concurrency:
-// results are width-independent by the PDES determinism contract, so
-// the host-dependent clamp never leaks into output bytes.
-func (o Options) simWorkersFor(cells int) int {
-	pool := o.parallel()
+// composeFor returns the pool width and the PDES worker width for
+// `cells` partitioned simulations, capping their product at GOMAXPROCS
+// with the inner width winning (par.Compose), so the two fan-out layers
+// compose instead of oversubscribing the host. The cap only trims
+// wall-clock concurrency: results are width-independent by the PDES
+// determinism contract, so the host-dependent clamp never leaks into
+// output bytes.
+func (o Options) composeFor(cells int) (pool, inner int) {
+	pool = o.parallel()
 	if pool > cells && cells > 0 {
 		pool = cells
 	}
-	_, inner := par.Compose(pool, o.simWorkers())
-	return inner
+	return par.Compose(pool, o.simWorkers())
 }
 
 // parfor fans fn(i) for i in [0, n) over the configured worker pool.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -60,20 +61,27 @@ func TestSimWorkersByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestSimWorkersCap pins the two-layer composition rule: the
-// Parallel × SimWorkers product never exceeds GOMAXPROCS, and the
-// clamp floors at one worker.
+// TestSimWorkersCap pins the two-layer composition rule, par.Compose's:
+// the Parallel × SimWorkers product never exceeds GOMAXPROCS, the inner
+// width wins the contest for cores, and both floor at one worker. The
+// test sets GOMAXPROCS itself so no expectation is read from the host.
 func TestSimWorkersCap(t *testing.T) {
-	o := Options{Parallel: 1 << 20, SimWorkers: 1 << 20}
-	if got := o.simWorkersFor(1 << 20); got != 1 {
-		t.Fatalf("saturated pool should clamp sim workers to 1, got %d", got)
-	}
-	o = Options{Parallel: 1, SimWorkers: 2}
-	if got := o.simWorkersFor(8); got < 1 || got > 2 {
-		t.Fatalf("simWorkersFor out of range: %d", got)
-	}
-	o = Options{}
-	if got := o.simWorkersFor(4); got != 1 {
-		t.Fatalf("zero Options must default to 1 sim worker, got %d", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		o := Options{Parallel: 1 << 20, SimWorkers: 1 << 20}
+		if pool, inner := o.composeFor(1 << 20); pool != 1 || inner != procs {
+			t.Errorf("GOMAXPROCS=%d: saturated layers composed to %d x %d, want 1 x %d",
+				procs, pool, inner, procs)
+		}
+		o = Options{Parallel: 4, SimWorkers: 2}
+		pool, inner := o.composeFor(8)
+		if want := min(2, procs); inner != want || pool < 1 || pool*inner > procs {
+			t.Errorf("GOMAXPROCS=%d: -parallel 4 -sim-workers 2 composed to %d x %d", procs, pool, inner)
+		}
+		o = Options{}
+		if pool, inner := o.composeFor(4); pool < 1 || inner != 1 {
+			t.Errorf("GOMAXPROCS=%d: zero Options composed to %d x %d, want one sim worker", procs, pool, inner)
+		}
 	}
 }
