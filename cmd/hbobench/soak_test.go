@@ -12,7 +12,7 @@ import (
 )
 
 func TestSoakLockNames(t *testing.T) {
-	if names, err := soakLockNames("all"); err != nil || len(names) != 15 {
+	if names, err := soakLockNames("all"); err != nil || len(names) != 16 {
 		t.Fatalf("all = %v, %v", names, err)
 	}
 	if names, err := soakLockNames("paper"); err != nil || len(names) != 8 {

@@ -1,6 +1,6 @@
 // Command lockcheck runs the schedule-exploring lock-correctness
-// harness (internal/check) over the simulated lock family, and
-// optionally the differential twin comparison against the native locks.
+// harness (internal/check) over the simulated instantiation of every
+// lock, and optionally the cross-check against its native instantiation.
 //
 // Usage:
 //
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/simlock"
 )
@@ -149,23 +148,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "lockcheck: unknown lock %q (known: %s)\n",
 					n, strings.Join(simlock.AllNames(), ", "))
 				os.Exit(2)
-			}
-		}
-		if *twins {
-			// The twin comparison needs a native counterpart; reject
-			// sim-only names up front rather than panicking mid-run.
-			for _, n := range names {
-				found := false
-				for _, known := range core.AllNames() {
-					if n == known {
-						found = true
-					}
-				}
-				if !found {
-					fmt.Fprintf(os.Stderr, "lockcheck: lock %q has no native twin (twins: %s)\n",
-						n, strings.Join(core.AllNames(), ", "))
-					os.Exit(2)
-				}
 			}
 		}
 	}

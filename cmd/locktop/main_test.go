@@ -117,7 +117,7 @@ func TestBaseURL(t *testing.T) {
 func TestAgainstLiveEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt := core.NewRuntime(1, 1)
-	l := reg.Instrument(core.NewTATAS(), "live", obs.WithSampleEvery(1))
+	l := reg.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "live", obs.WithSampleEvery(1))
 	th := rt.RegisterThread(0)
 
 	srv := httptest.NewServer(reg.Handler())

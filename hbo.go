@@ -40,6 +40,9 @@ const (
 	// Cohort is a ticket-ticket cohort lock (Dice-Marathe-Shavit), the
 	// NUMA-lock lineage HBO helped start.
 	Cohort Algorithm = "COHORT"
+	// CLHTry is CLH with the Scott & Scherer timeout splice-out: a FIFO
+	// queue lock whose waiters can give up.
+	CLHTry Algorithm = "CLH_TRY"
 	// CNA is the compact NUMA-aware queue lock (Dice & Kogan, EuroSys
 	// 2019): an MCS queue whose releaser passes within its node first,
 	// parking remote waiters on a secondary queue.

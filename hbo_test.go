@@ -78,10 +78,10 @@ func TestNewLockTuned(t *testing.T) {
 
 func TestExtendedAlgorithmsPublic(t *testing.T) {
 	ext := hbo.ExtendedAlgorithmNames()
-	if len(ext) != 7 {
+	if len(ext) != 8 {
 		t.Fatalf("extensions = %v", ext)
 	}
-	if len(hbo.AllAlgorithmNames()) != 15 {
+	if len(hbo.AllAlgorithmNames()) != 16 {
 		t.Fatalf("AllAlgorithmNames = %v", hbo.AllAlgorithmNames())
 	}
 	if !hbo.Cohort.NUCAAware() || !hbo.CNA.NUCAAware() || !hbo.HMCST.NUCAAware() ||

@@ -8,26 +8,19 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/sim"
-	"repro/internal/simlock"
 )
 
-// The differential twin layer. Every paper lock exists twice in this
-// repository: as a simulated lock (internal/simlock, deterministic,
-// schedule-explorable) and as a native Go lock (internal/core, real
-// goroutines, race-detector checkable). The twin layer runs both under
-// the same oracles and cross-checks them:
+// The twin layer. Every lock is one lockspec body instantiated twice:
+// on the simulated machine (internal/simlock, deterministic,
+// schedule-explorable) and over sync/atomic (internal/core, real
+// goroutines, race-detector checkable). State words, transitions and
+// probes cannot differ between the two — they are the same code — so
+// what is left to cross-check is the one thing each stack supplies
+// itself, its waiting policy (parked spins vs. yield-paced polling), and
+// the Env that carries it:
 //
-//   - hard parity: if one twin passes its correctness oracles and the
-//     other fails, the implementations have algorithmically diverged;
-//   - probe parity: a lock family exposing quiescence/fault-injection
-//     probes on one side must expose them on the other, and both must
-//     pass (the HBO family);
-//   - injection-survival parity: both HBO_GT_SD twins must ride out the
-//     same corrupted-lock-word fault (the bounds-guard divergence this
-//     layer originally caught: core/hbo.go guarded the decoded owner,
-//     simlock/hbo.go did not);
+//   - hard parity: if one instantiation passes its correctness oracles
+//     and the other fails, an Env primitive or wait loop has diverged;
 //   - lenient qualitative cross-checks: node-handoff locality and
 //     fairness bursts are compared against each side's own TATAS
 //     baseline with a wide dead-band. The sim side is deterministic and
@@ -53,7 +46,7 @@ type TwinResult struct {
 	Lock         string   `json:"lock"`
 	SimFailures  []string `json:"sim_failures,omitempty"`
 	CoreFailures []string `json:"core_failures,omitempty"`
-	// Divergences are algorithmic mismatches between the twins — the
+	// Divergences are mismatches between the two instantiations — the
 	// failures unique to this layer.
 	Divergences  []string `json:"divergences,omitempty"`
 	SimLocality  float64  `json:"sim_locality"`
@@ -74,11 +67,8 @@ type coreOutcome struct {
 	maxBurst int
 }
 
-// coreQuiescer is the native probe twin of simlock.Quiescer.
+// coreQuiescer is the native counterpart of simlock.Quiescer.
 type coreQuiescer interface{ Quiescent() error }
-
-// coreInjector is the native probe twin of simlock.WordInjector.
-type coreInjector interface{ InjectWord(v uint64) }
 
 // coreStress runs a native lock under the schedule explorer's oracles:
 // an atomic critical-section token (mutual exclusion), a wall-clock
@@ -175,64 +165,6 @@ func coreStress(l core.Lock, rt *core.Runtime, s TwinStress) coreOutcome {
 	return out
 }
 
-// simInjectionSurvives replays the corrupted-lock-word fault against the
-// simulated HBO_GT_SD: the lock word decodes to a nonexistent owner
-// while one thread acquires and a second thread later clears the word.
-// Survival means the acquirer completes before the sim-time watchdog.
-func simInjectionSurvives(seed uint64) bool {
-	cfg := machine.WildFire()
-	cfg.CPUsPerNode = 2
-	cfg.Seed = seed | 1
-	cfg.TimeLimit = 50 * sim.Millisecond
-	m := machine.New(cfg)
-	l := simlock.New("HBO_GT_SD", m, 0, []int{0, 1}, exploreTuning())
-	inj, ok := l.(simlock.WordInjector)
-	if !ok {
-		return false
-	}
-	inj.InjectWord(m, 100) // decodes to owner 99 on a 2-node machine
-	acquired := 0
-	m.Spawn(0, func(p *machine.Proc) {
-		l.Acquire(p, 0)
-		acquired++
-		p.Work(100)
-		l.Release(p, 0)
-	})
-	m.Spawn(1, func(p *machine.Proc) {
-		p.Work(200 * sim.Microsecond)
-		inj.InjectWord(m, 0) // simulated recovery
-	})
-	m.Run()
-	return !m.Aborted() && acquired == 1
-}
-
-// coreInjectionSurvives replays the same fault against the native
-// HBO_GT_SD twin.
-func coreInjectionSurvives(timeout time.Duration) bool {
-	rt := core.NewRuntime(2, 1)
-	l := core.New("HBO_GT_SD", rt, coreTwinTuning())
-	inj, ok := l.(coreInjector)
-	if !ok {
-		return false
-	}
-	inj.InjectWord(100)
-	th := rt.RegisterThread(0)
-	done := make(chan struct{})
-	go func() {
-		l.Acquire(th)
-		l.Release(th)
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	inj.InjectWord(0) // simulated recovery
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
 // coreTwinTuning mirrors exploreTuning for the native side: small
 // backoffs and a hair-trigger starvation detector.
 func coreTwinTuning() core.Tuning {
@@ -250,8 +182,8 @@ func coreTwinTuning() core.Tuning {
 	return tun
 }
 
-// CheckTwin differentially checks one lock name present in both
-// families. baseline is the TATAS result from the same session (nil
+// CheckTwin checks one lock's two instantiations against each other.
+// baseline is the TATAS result from the same session (nil
 // when comparing TATAS itself), anchoring the qualitative dead-bands.
 func CheckTwin(name string, seed uint64, s TwinStress, baseline *TwinResult) TwinResult {
 	res := TwinResult{Lock: name}
@@ -277,35 +209,6 @@ func CheckTwin(name string, seed uint64, s TwinStress, baseline *TwinResult) Twi
 	if simOK != coreOK {
 		res.Divergences = append(res.Divergences, fmt.Sprintf(
 			"oracle parity: sim passed=%v but native passed=%v", simOK, coreOK))
-	}
-
-	// Probe parity: quiescence probes must exist on both sides or
-	// neither (their verdicts are already in the failure lists).
-	mprobe := machine.New(func() machine.Config {
-		c := machine.WildFire()
-		c.CPUsPerNode = 2
-		return c
-	}())
-	_, simQ := simlock.New(name, mprobe, 0, []int{0, 1}, simlock.DefaultTuning()).(simlock.Quiescer)
-	_, coreQ := l.(coreQuiescer)
-	if simQ != coreQ {
-		res.Divergences = append(res.Divergences, fmt.Sprintf(
-			"probe parity: sim quiescence probe=%v, native=%v", simQ, coreQ))
-	}
-
-	// Injection-survival parity (HBO_GT_SD only — the starvation
-	// detector is the only consumer of the decoded owner id).
-	if name == "HBO_GT_SD" {
-		simSurv := simInjectionSurvives(seed)
-		coreSurv := coreInjectionSurvives(s.Timeout)
-		if simSurv != coreSurv {
-			res.Divergences = append(res.Divergences, fmt.Sprintf(
-				"injection parity: sim survives corrupted owner=%v, native=%v",
-				simSurv, coreSurv))
-		} else if !simSurv {
-			res.Divergences = append(res.Divergences,
-				"injection: neither twin survives a corrupted lock-word owner")
-		}
 	}
 
 	// Lenient qualitative cross-checks against each side's own TATAS
@@ -346,9 +249,7 @@ func CheckTwin(name string, seed uint64, s TwinStress, baseline *TwinResult) Twi
 	return res
 }
 
-// CheckTwins differentially checks every lock implemented by both
-// families (nil = all of core.AllNames; CLH_TRY exists only in the
-// simulated family and is covered by the schedule explorer alone). The
+// CheckTwins checks every named lock (nil = the whole registry). The
 // native side uses real goroutines, so unlike the schedule explorer the
 // results are not bit-deterministic across runs.
 func CheckTwins(names []string, seed uint64, s TwinStress) []TwinResult {

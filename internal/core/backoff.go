@@ -11,7 +11,7 @@ import (
 // depends on the host CPU, exactly as the paper notes ("backoff
 // parameters must be tuned by trial and error for each individual
 // architecture"). The type is shared with internal/simlock via
-// lockspec, so one value can configure an algorithm's twin in either
+// lockspec, so one value can configure an algorithm in either
 // stack.
 type Tuning = lockspec.Tuning
 

@@ -1,6 +1,11 @@
-// Package core implements the HBO paper's lock algorithms as native Go
-// locks over sync/atomic: TATAS, TATAS_EXP, MCS, CLH, RH, HBO, HBO_GT
-// and HBO_GT_SD.
+// Package core runs the lock algorithms of internal/lockspec — the HBO
+// paper's eight and the extensions beyond it — as native Go locks over
+// sync/atomic. No algorithm is written here: FromSpec (spec.go) turns a
+// spec's declared words into cache-line-padded atomics and runs its
+// transition bodies against an Env that supplies the native waiting
+// policy (busy-waits that yield to the scheduler, spin work counted into
+// the lock's Probe). internal/simlock instantiates the same specs on the
+// simulated machine.
 //
 // Go offers no thread-local storage and no CPU pinning, so the NUCA node
 // a goroutine runs in cannot be discovered from inside the runtime. The
@@ -82,9 +87,6 @@ type Thread struct {
 	id   int
 	node int
 	rt   *Runtime
-	// clhSlots maps lock ids to this thread's rotating CLH node state;
-	// accessed only by the owning goroutine.
-	clhSlots map[uint64]*clhSlot
 }
 
 // RegisterThread allocates a Thread bound to the given logical node.
@@ -97,7 +99,7 @@ func (r *Runtime) RegisterThread(node int) *Thread {
 	if id >= r.maxThreads {
 		panic(fmt.Sprintf("core: more than %d threads registered", r.maxThreads))
 	}
-	return &Thread{id: id, node: node, rt: r, clhSlots: make(map[uint64]*clhSlot)}
+	return &Thread{id: id, node: node, rt: r}
 }
 
 // ID returns the thread's dense id.
@@ -133,40 +135,24 @@ func (lk Locker) Unlock() { lk.L.Release(lk.T) }
 func Names() []string { return lockspec.PaperNames() }
 
 // ExtendedNames lists the additional algorithms beyond the paper's
-// eight (simulator-only protocols omitted); see
-// internal/simlock.ExtendedNames for their provenance.
-func ExtendedNames() []string { return lockspec.ExtendedNames(false) }
+// eight; see internal/simlock.ExtendedNames for their provenance.
+func ExtendedNames() []string { return lockspec.ExtendedNames() }
 
 // AllNames lists the paper's eight plus the extensions.
-func AllNames() []string { return lockspec.AllNames(false) }
+func AllNames() []string { return lockspec.AllNames() }
 
-// New builds the named lock on runtime r with tuning tun: spec-backed
-// algorithms instantiate through FromSpec, the rest keep hand-written
-// native implementations. It panics on an unknown name.
+// New builds the named lock on runtime r with tuning tun from its
+// lockspec registry entry. It panics on an unknown name.
 func New(name string, r *Runtime, tun Tuning) Lock {
-	if s := lockspec.Lookup(name); s != nil && s.Backed() && !s.SimOnly {
-		return FromSpec(s, r, tun)
+	s := lockspec.Lookup(name)
+	if s == nil {
+		panic(fmt.Sprintf("core: unknown lock %q", name))
 	}
-	switch name {
-	case "MCS":
-		return NewMCS(r)
-	case "CLH":
-		return NewCLH(r)
-	case "RH":
-		return NewRH(r, tun)
-	case "ANDERSON":
-		return NewAnderson(r)
-	case "REACTIVE":
-		return NewReactive(r, tun)
-	case "HBO_HIER":
-		return NewHBOHier(r, tun)
-	case "COHORT":
-		return NewCohort(r)
-	}
-	panic(fmt.Sprintf("core: unknown lock %q", name))
+	return FromSpec(s, r, tun)
 }
 
-// lockIDs hands out unique ids used by CLH's per-thread slot map.
+// lockIDs hands out the unique non-zero tags locks publish in throttle
+// words (lockspec.Env.Tag).
 var lockIDs atomic.Uint64
 
 // cacheLinePad separates hot words; 64 bytes covers common hardware.

@@ -138,7 +138,7 @@ func TestReentrantSequence(t *testing.T) {
 
 func TestLockerAdapter(t *testing.T) {
 	r := newTestRuntime(1, 2)
-	l := NewHBO(r, DefaultTuning())
+	l := New("HBO", r, DefaultTuning())
 	var wg sync.WaitGroup
 	counter := 0
 	for i := 0; i < 2; i++ {
@@ -163,7 +163,7 @@ func TestLockerAdapter(t *testing.T) {
 // independent across distinct locks.
 func TestCLHMultipleLocks(t *testing.T) {
 	r := newTestRuntime(1, 4)
-	l1, l2 := NewCLH(r), NewCLH(r)
+	l1, l2 := New("CLH", r, DefaultTuning()), New("CLH", r, DefaultTuning())
 	var wg sync.WaitGroup
 	c1, c2 := 0, 0
 	for w := 0; w < 4; w++ {
@@ -227,7 +227,7 @@ func TestRHRejectsThreeNodesNative(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewRH(newTestRuntime(3, 1), DefaultTuning())
+	New("RH", newTestRuntime(3, 1), DefaultTuning())
 }
 
 func TestHBOFourNodesNative(t *testing.T) {

@@ -76,7 +76,7 @@ func TestHierarchicalRuntimeDistance(t *testing.T) {
 func TestHBOHierOnHierarchicalRuntime(t *testing.T) {
 	const workers = 8
 	r := NewRuntimeHierarchical(4, 2, workers)
-	l := NewHBOHier(r, DefaultTuning())
+	l := New("HBO_HIER", r, DefaultTuning())
 	counter := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,7 +102,7 @@ func TestHBOHierOnHierarchicalRuntime(t *testing.T) {
 // concurrency by checking the final ticket counts match.
 func TestTicketFIFONative(t *testing.T) {
 	r := newTestRuntime(1, 4)
-	l := NewTicket().(specQ)
+	l := New("TICKET", r, DefaultTuning()).(*specLock)
 	var wg sync.WaitGroup
 	const iters = 500
 	for w := 0; w < 4; w++ {
@@ -131,7 +131,7 @@ func TestTicketFIFONative(t *testing.T) {
 // acquisitions than slots.
 func TestAndersonWraparoundNative(t *testing.T) {
 	r := newTestRuntime(1, 3)
-	l := NewAnderson(r)
+	l := New("ANDERSON", r, DefaultTuning())
 	counter := 0
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -156,7 +156,8 @@ func TestAndersonWraparoundNative(t *testing.T) {
 // solo phase, checking both mode transitions.
 func TestReactiveModeFlipsNative(t *testing.T) {
 	r := newTestRuntime(2, 8)
-	l := NewReactive(r, DefaultTuning())
+	l := New("REACTIVE", r, DefaultTuning()).(*specLock)
+	mode := &l.words[l.spec.WordIndex("mode")][0].v
 	var wg sync.WaitGroup
 	sawQueue := false
 	var mu sync.Mutex
@@ -167,7 +168,7 @@ func TestReactiveModeFlipsNative(t *testing.T) {
 			th := r.RegisterThread(node)
 			for i := 0; i < 500; i++ {
 				l.Acquire(th)
-				if l.mode.v.Load() == 1 {
+				if mode.Load() == 1 {
 					mu.Lock()
 					sawQueue = true
 					mu.Unlock()
@@ -181,19 +182,19 @@ func TestReactiveModeFlipsNative(t *testing.T) {
 		t.Log("note: reactive lock never left spin mode (host scheduling dependent)")
 	}
 	// Solo phase must drive it back to (or keep it in) spin mode.
-	th := &Thread{id: 0, node: 0, rt: r, clhSlots: map[uint64]*clhSlot{}}
-	for i := 0; i < reactToSpin*3; i++ {
+	th := &Thread{id: 0, node: 0, rt: r}
+	for i := 0; i < 16*3; i++ { // three times the spec's queue-to-spin threshold
 		l.Acquire(th)
 		l.Release(th)
 	}
-	if l.mode.v.Load() != 0 {
+	if mode.Load() != 0 {
 		t.Fatal("reactive lock stuck in queue mode after contention subsided")
 	}
 }
 
 func TestCohortNative(t *testing.T) {
 	r := newTestRuntime(2, 8)
-	l := NewCohort(r)
+	l := New("COHORT", r, DefaultTuning())
 	counter := 0
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -265,7 +266,7 @@ func TestTryAcquire(t *testing.T) {
 	// new try-capable algorithm is covered the day it is registered.
 	var names []string
 	for _, s := range lockspec.All() {
-		if s.Try && !s.SimOnly {
+		if s.Try {
 			names = append(names, s.Name)
 		}
 	}
@@ -303,7 +304,7 @@ func TestTryAcquire(t *testing.T) {
 
 func TestTryAcquireUnderContention(t *testing.T) {
 	r := newTestRuntime(2, 8)
-	l := NewHBOGTSD(r, DefaultTuning()).(TryLocker)
+	l := New("HBO_GT_SD", r, DefaultTuning()).(TryLocker)
 	var wg sync.WaitGroup
 	hits := int64(0)
 	misses := int64(0)
@@ -342,7 +343,7 @@ func TestQueueLocksDoNotOfferTry(t *testing.T) {
 
 func TestAcquireTimeout(t *testing.T) {
 	r := newTestRuntime(2, 2)
-	l := NewHBOGTSD(r, DefaultTuning()).(TryLocker)
+	l := New("HBO_GT_SD", r, DefaultTuning()).(TryLocker)
 	a := r.RegisterThread(0)
 	b := r.RegisterThread(1)
 
@@ -366,7 +367,7 @@ func TestAcquireTimeout(t *testing.T) {
 
 func TestAcquireTimeoutUnderChurn(t *testing.T) {
 	r := newTestRuntime(2, 4)
-	l := NewTATASExp(DefaultTuning()).(TryLocker)
+	l := New("TATAS_EXP", r, DefaultTuning()).(TryLocker)
 	var wg sync.WaitGroup
 	var got int64
 	for w := 0; w < 4; w++ {

@@ -19,7 +19,7 @@ func angryTestTuning() Tuning {
 }
 
 // TestHBOQuiescentAfterStress: after all acquirers finish, the lock word
-// is free and every per-node throttle word is back to hboDummy — the
+// is free and every per-node throttle word is back to zero — the
 // native twin of simlock's TestHBOQuiescence.
 func TestHBOQuiescentAfterStress(t *testing.T) {
 	for _, name := range []string{"HBO", "HBO_GT", "HBO_GT_SD"} {
@@ -27,7 +27,7 @@ func TestHBOQuiescentAfterStress(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const threads, iters = 8, 150
 			r := NewRuntime(2, threads)
-			l := New(name, r, angryTestTuning()).(specTimedTryQI)
+			l := New(name, r, angryTestTuning()).(specTimedTryI)
 			var wg sync.WaitGroup
 			counter := 0
 			for i := 0; i < threads; i++ {
@@ -59,8 +59,8 @@ func TestHBOQuiescentAfterStress(t *testing.T) {
 // out and completes once the word clears.
 func TestHBOGTSDCorruptedOwnerSurvives(t *testing.T) {
 	r := NewRuntime(2, 2)
-	l := NewHBOGTSD(r, angryTestTuning()).(specTimedTryQI)
-	l.InjectWord(hboNodeVal(99)) // owner 99 on a 2-node runtime
+	l := New("HBO_GT_SD", r, angryTestTuning()).(specTimedTryI)
+	l.InjectWord(100) // node id + 1: owner 99 on a 2-node runtime
 
 	th := r.RegisterThread(0)
 	done := make(chan struct{})
@@ -70,7 +70,7 @@ func TestHBOGTSDCorruptedOwnerSurvives(t *testing.T) {
 		close(done)
 	}()
 	time.Sleep(20 * time.Millisecond) // let several SD episodes fire
-	l.InjectWord(hboFree)             // simulated recovery
+	l.InjectWord(0)                   // simulated recovery
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

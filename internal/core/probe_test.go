@@ -84,7 +84,7 @@ func TestProbeFiresOnContention(t *testing.T) {
 // TestProbeRemovable checks SetProbe(nil) detaches cleanly.
 func TestProbeRemovable(t *testing.T) {
 	rt := NewRuntime(1, 2)
-	l := NewTATAS()
+	l := New("TATAS", rt, DefaultTuning())
 	p := &countProbe{}
 	l.(Probed).SetProbe(p)
 	l.(Probed).SetProbe(nil)

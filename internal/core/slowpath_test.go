@@ -101,7 +101,7 @@ func TestHBOSlowPathTransitions(t *testing.T) {
 // releaser must wait for the link rather than dropping the lock.
 func TestMCSReleaseWaitsForLinking(t *testing.T) {
 	r := newTestRuntime(1, 8)
-	l := NewMCS(r)
+	l := New("MCS", r, DefaultTuning())
 	counter := 0
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -130,7 +130,7 @@ func TestGTThrottleEngagesNative(t *testing.T) {
 	tun := DefaultTuning()
 	tun.RemoteBackoffBase = 64 // spin often so the winner forms fast
 	tun.RemoteBackoffCap = 256
-	l := NewHBOGT(r, tun)
+	l := New("HBO_GT", r, tun)
 	holder := r.RegisterThread(0)
 	w1 := r.RegisterThread(1)
 	w2 := r.RegisterThread(1)
@@ -164,7 +164,7 @@ func TestSDAngerFiresNative(t *testing.T) {
 	tun.GetAngryLimit = 2
 	tun.RemoteBackoffBase = 64
 	tun.RemoteBackoffCap = 128
-	l := NewHBOGTSD(r, tun).(specTimedTryQI)
+	l := New("HBO_GT_SD", r, tun).(specTimedTryI)
 	spinIdx := l.spec.WordIndex("is_spinning")
 	holder := r.RegisterThread(0)
 	angry := r.RegisterThread(1)
@@ -175,7 +175,7 @@ func TestSDAngerFiresNative(t *testing.T) {
 		acquired = true
 		// The anger path stopped node 0; releasing must reopen it.
 		l.Release(angry)
-		if l.peek(spinIdx, 0) != hboDummy {
+		if l.peek(spinIdx, 0) != 0 {
 			// is_spinning is cleared on acquire, before release.
 			t.Error("stopped node not released after angry acquire")
 		}
@@ -191,7 +191,7 @@ func TestRHNodeWinnerNative(t *testing.T) {
 	tun := DefaultTuning()
 	tun.RHRemoteBase = 64
 	tun.RHRemoteCap = 256
-	l := NewRH(r, tun)
+	l := New("RH", r, tun)
 	holder := r.RegisterThread(0)
 	winner := r.RegisterThread(1)
 	follower := r.RegisterThread(1)
@@ -220,7 +220,7 @@ func TestRHNodeWinnerNative(t *testing.T) {
 // wait proportionally.
 func TestTicketSlowPath(t *testing.T) {
 	r := newTestRuntime(1, 3)
-	l := NewTicket()
+	l := New("TICKET", r, DefaultTuning())
 	holder := r.RegisterThread(0)
 	acquired := 0
 	holdWhile(t, l, holder, 2*time.Millisecond, func() {

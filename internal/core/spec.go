@@ -13,27 +13,28 @@ import (
 // spec's state words become cache-line-padded atomics, its transition
 // bodies run against an Env whose wait primitives busy-wait with
 // periodic runtime.Gosched yields and count spin work into the lock's
-// Probe. The simulated twin of the same spec lives in
-// internal/simlock/spec.go; every shared word and every atomic
-// transition come from the one body, so the two stacks cannot drift
-// apart by editing one copy.
+// Probe. internal/simlock/spec.go instantiates the same specs on the
+// simulated machine; every shared word and every atomic transition come
+// from the one body, so the two stacks differ in waiting policy only.
 
 // specLock is a native lock built from a spec.
 type specLock struct {
 	spec    *lockspec.Spec
 	tun     Tuning
 	yield   int // tun.YieldEvery(), cached
+	rt      *Runtime
 	nodes   int
 	threads int
 	tag     uint64 // non-zero identity for throttle words (Env.Tag)
 	// words[w][i] is element i (Ref addressing) of declared word w;
 	// every element sits alone on its cache line.
 	words [][]paddedUint64
-	// scratch[t] is thread t's private scratch (Env.Scratch); nil when
-	// the lock was built without a Runtime (see FromSpec).
+	// scratch[t] is thread t's private scratch (Env.Scratch).
 	scratch []scratchPad
+	// nodeScratch[n] is node n's holder-only word (Env.NodeScratch).
+	nodeScratch []nodePad
 	// envs[t] is thread t's pooled environment, so an acquire allocates
-	// nothing; nil when built without a Runtime.
+	// nothing.
 	envs []specEnv
 	probeHolder
 }
@@ -44,116 +45,90 @@ type scratchPad struct {
 	_ [32]byte
 }
 
+// nodePad keeps each node's holder-only word on its own cache line.
+type nodePad struct {
+	v uint64
+	_ [56]byte
+}
+
 // FromSpec instantiates spec as a native lock on runtime r. The
-// returned lock additionally implements TimedLock, TryLocker,
-// Quiescent() error and/or InjectWord(uint64) exactly as the spec's
-// metadata declares, so capability dispatch (AcquireWithin, the
-// correctness harness's probes) sees the same surface the hand-written
-// locks offered.
-//
-// r may be nil only for specs whose words are all lock-scoped and whose
-// bodies do not carry scratch across calls (the single-word locks the
-// no-argument constructors build); such a lock allocates a transient
-// environment per operation instead of using the per-thread pool.
+// returned lock additionally implements TimedLock, TryLocker and/or
+// InjectWord(uint64) exactly as the spec's metadata declares, so
+// capability dispatch (AcquireWithin, the correctness harness's probes)
+// can rely on interface assertions.
 func FromSpec(spec *lockspec.Spec, r *Runtime, tun Tuning) Lock {
-	if !spec.Backed() {
-		panic(fmt.Sprintf("core: spec %s has no bodies", spec.Name))
-	}
-	if spec.SimOnly {
-		panic(fmt.Sprintf("core: spec %s is simulator-only", spec.Name))
-	}
 	l := &specLock{
-		spec:  spec,
-		tun:   tun,
-		yield: tun.YieldEvery(),
-		nodes: 1,
-		tag:   lockIDs.Add(1),
+		spec:        spec,
+		tun:         tun,
+		yield:       tun.YieldEvery(),
+		rt:          r,
+		nodes:       r.nodes,
+		threads:     r.maxThreads,
+		tag:         lockIDs.Add(1),
+		words:       make([][]paddedUint64, len(spec.Words)),
+		scratch:     make([]scratchPad, r.maxThreads),
+		nodeScratch: make([]nodePad, r.nodes),
+		envs:        make([]specEnv, r.maxThreads),
 	}
-	if r != nil {
-		l.nodes = r.nodes
-		l.threads = r.maxThreads
-		l.scratch = make([]scratchPad, r.maxThreads)
-		l.envs = make([]specEnv, r.maxThreads)
-		for i := range l.envs {
-			l.envs[i].l = l
-		}
+	for i := range l.envs {
+		l.envs[i].l = l
 	}
 	if spec.MaxNodes > 0 && l.nodes > spec.MaxNodes {
 		panic(fmt.Sprintf("core: %s supports at most %d nodes, runtime has %d",
 			spec.Name, spec.MaxNodes, l.nodes))
 	}
-	l.words = make([][]paddedUint64, len(spec.Words))
 	for w, word := range spec.Words {
-		if r == nil && word.Scope != lockspec.ScopeLock {
-			panic(fmt.Sprintf("core: spec %s needs a *Runtime (scoped word %q)",
-				spec.Name, word.Name))
-		}
 		elems := make([]paddedUint64, word.Elems(l.nodes, l.threads))
-		if word.Init != 0 {
+		if word.Init != nil {
 			for i := range elems {
-				elems[i].v.Store(word.Init)
+				elems[i].v.Store(word.Init(i, l.nodes))
 			}
 		}
 		l.words[w] = elems
 	}
 
-	timed, try, q, inj := spec.Timed, spec.TryBody != nil, spec.Quiesce != nil, spec.Inject != nil
-	if inj && !q {
-		panic(fmt.Sprintf("core: spec %s declares Inject without Quiesce", spec.Name))
-	}
-	switch {
-	case timed && try && q && inj:
-		return specTimedTryQI{specTimedTryQ{l}}
-	case timed && try && q:
-		return specTimedTryQ{l}
+	switch timed, try, inj := spec.Timed, spec.TryBody != nil, spec.Inject != nil; {
+	case timed && try && inj:
+		return specTimedTryI{specTimedTry{l}}
+	case inj:
+		panic(fmt.Sprintf("core: spec %s declares Inject without Timed and TryBody", spec.Name))
 	case timed && try:
 		return specTimedTry{l}
-	case timed && q:
-		return specTimedQ{l}
-	case try && q:
-		return specTryQ{l}
-	case q:
-		return specQ{l}
-	case !timed && !try:
-		return l
+	case timed:
+		return specTimed{l}
+	case try:
+		return specTry{l}
 	default:
-		panic(fmt.Sprintf("core: spec %s has unsupported capability combination", spec.Name))
+		return l
 	}
 }
 
 // Capability wrappers: each exposes exactly the optional interfaces its
 // spec declares, so a lock without a try path does not satisfy
 // TryLocker (TestQueueLocksDoNotOfferTry pins this for TICKET).
-type specTimedTry struct{ *specLock }  // TATAS, TATAS_EXP
-type specQ struct{ *specLock }         // TICKET
-type specTryQ struct{ *specLock }      // CNA
-type specTimedQ struct{ *specLock }    // HMCS_T
-type specTimedTryQ struct{ *specLock } // (HBO family before Inject)
-type specTimedTryQI struct{ specTimedTryQ }
+type specTimed struct{ *specLock }        // CLH_TRY, HMCS_T
+type specTry struct{ *specLock }          // MCS, RH, HBO_HIER, CNA
+type specTimedTry struct{ *specLock }     // TATAS, TATAS_EXP
+type specTimedTryI struct{ specTimedTry } // HBO, HBO_GT, HBO_GT_SD
+
+func (l specTimed) AcquireFor(t *Thread, d time.Duration) bool { return l.acquireFor(t, d) }
+
+func (l specTry) TryAcquire(t *Thread) bool { return l.tryAcquire(t) }
 
 func (l specTimedTry) AcquireFor(t *Thread, d time.Duration) bool { return l.acquireFor(t, d) }
 func (l specTimedTry) TryAcquire(t *Thread) bool                  { return l.tryAcquire(t) }
 
-func (l specQ) Quiescent() error { return l.quiescent() }
-
-func (l specTryQ) TryAcquire(t *Thread) bool { return l.tryAcquire(t) }
-func (l specTryQ) Quiescent() error          { return l.quiescent() }
-
-func (l specTimedQ) AcquireFor(t *Thread, d time.Duration) bool { return l.acquireFor(t, d) }
-func (l specTimedQ) Quiescent() error                           { return l.quiescent() }
-
-func (l specTimedTryQ) AcquireFor(t *Thread, d time.Duration) bool { return l.acquireFor(t, d) }
-func (l specTimedTryQ) TryAcquire(t *Thread) bool                  { return l.tryAcquire(t) }
-func (l specTimedTryQ) Quiescent() error                           { return l.quiescent() }
-
-func (l specTimedTryQI) InjectWord(v uint64) { l.injectWord(v) }
+// InjectWord overwrites the spec's declared fault-injection word.
+func (l specTimedTryI) InjectWord(v uint64) {
+	ref := l.spec.Inject
+	l.words[ref.W][ref.I].v.Store(v)
+}
 
 var (
-	_ TimedLock = specTimedTry{}
-	_ TryLocker = specTimedTry{}
-	_ TimedLock = specTimedTryQI{}
-	_ TryLocker = specTryQ{}
-	_ TimedLock = specTimedQ{}
+	_ TimedLock = specTimed{}
+	_ TryLocker = specTry{}
+	_ TimedLock = specTimedTryI{}
+	_ TryLocker = specTimedTryI{}
 )
 
 // Name returns the spec's algorithm name.
@@ -164,12 +139,7 @@ func (l *specLock) Name() string { return l.spec.Name }
 // acquire that last used it, so binding the thread is all an operation
 // has to do.
 func (l *specLock) env(t *Thread) *specEnv {
-	var e *specEnv
-	if l.envs != nil {
-		e = &l.envs[t.id]
-	} else {
-		e = &specEnv{l: l}
-	}
+	e := &l.envs[t.id]
 	e.t = t
 	return e
 }
@@ -216,14 +186,9 @@ func (l *specLock) tryAcquire(t *Thread) bool {
 	return l.spec.TryBody(l.env(t), &l.tun)
 }
 
-// quiescent runs the spec's quiescence probe over the raw words.
-func (l *specLock) quiescent() error { return l.spec.Quiesce(specPeeker{l}) }
-
-// injectWord overwrites the spec's declared fault-injection word.
-func (l *specLock) injectWord(v uint64) {
-	ref := l.spec.Inject
-	l.words[ref.W][ref.I].v.Store(v)
-}
+// Quiescent runs the spec's quiescence probe over the raw words (every
+// spec declares one).
+func (l *specLock) Quiescent() error { return l.spec.Quiesce(specPeeker{l}) }
 
 // peek reads a raw word element — test access only.
 func (l *specLock) peek(w, i int) uint64 { return l.words[w][i].v.Load() }
@@ -243,11 +208,7 @@ type specEnv struct {
 	timed    bool
 	fired    bool  // Contended probe fired this acquire
 	spins    int64 // spin work reported at acquire completion
-	// local backs Scratch for runtime-free locks (valid within one
-	// operation — specs that carry scratch from Acquire to Release have
-	// scoped words and therefore always a Runtime-backed pool).
-	local [4]uint64
-	_     cacheLinePad
+	_        cacheLinePad
 }
 
 var _ lockspec.Env = (*specEnv)(nil)
@@ -259,6 +220,8 @@ func (e *specEnv) Node() int    { return e.t.node }
 func (e *specEnv) Nodes() int   { return e.l.nodes }
 func (e *specEnv) Threads() int { return e.l.threads }
 func (e *specEnv) Tag() uint64  { return e.l.tag }
+
+func (e *specEnv) Distance(a, b int) int { return e.l.rt.Distance(a, b) }
 
 func (e *specEnv) Load(w, i int) uint64           { return e.word(w, i).Load() }
 func (e *specEnv) Store(w, i int, v uint64)       { e.word(w, i).Store(v) }
@@ -285,14 +248,17 @@ func (e *specEnv) CASOnce(w, i int, expect, v uint64) bool {
 	return e.word(w, i).CompareAndSwap(expect, v)
 }
 
-func (e *specEnv) FetchInc(w, i int) uint64 { return e.word(w, i).Add(1) - 1 }
-func (e *specEnv) HolderInc(w, i int)       { e.word(w, i).Add(1) }
+func (e *specEnv) FetchAdd(w, i int, delta uint64) uint64 {
+	return e.word(w, i).Add(delta) - delta
+}
+func (e *specEnv) HolderInc(w, i int) { e.word(w, i).Add(1) }
 
 func (e *specEnv) Delay(units int) { spinDelay(units, e.l.yield) }
 
-func (e *specEnv) Backoff(b *int, factor, cap int) {
+func (e *specEnv) Backoff(b, factor, cap int) int {
 	e.noteSpin()
-	backoff(b, factor, cap, e.l.yield)
+	backoff(&b, factor, cap, e.l.yield)
+	return b
 }
 
 // noteSpin counts one unit of spin work once the acquire is contended.
@@ -302,12 +268,18 @@ func (e *specEnv) noteSpin() {
 	}
 }
 
+func (e *specEnv) Timed() bool { return e.timed }
+
 func (e *specEnv) Expired() bool {
 	return e.timed && time.Now().After(e.deadline)
 }
 
 func (e *specEnv) AwaitZero(w, i int) bool {
 	a := e.word(w, i)
+	if a.Load() == 0 {
+		return true
+	}
+	e.SlowPath()
 	for a.Load() != 0 {
 		if e.timed && time.Now().After(e.deadline) {
 			return false
@@ -320,6 +292,10 @@ func (e *specEnv) AwaitZero(w, i int) bool {
 
 func (e *specEnv) AwaitWhile(w, i int, v uint64) (uint64, bool) {
 	a := e.word(w, i)
+	if cur := a.Load(); cur != v {
+		return cur, true
+	}
+	e.SlowPath()
 	for {
 		cur := a.Load()
 		if cur != v {
@@ -401,9 +377,6 @@ func (e *specEnv) SlowPath() {
 	}
 }
 
-func (e *specEnv) Scratch() *[4]uint64 {
-	if e.l.scratch != nil {
-		return &e.l.scratch[e.t.id].s
-	}
-	return &e.local
-}
+func (e *specEnv) Scratch() *[4]uint64 { return &e.l.scratch[e.t.id].s }
+
+func (e *specEnv) NodeScratch() *uint64 { return &e.l.nodeScratch[e.t.node].v }

@@ -19,7 +19,7 @@ func TestTimedThrottlePollQuantum(t *testing.T) {
 	// One BackoffBase-sized poll would busy-wait for seconds; the fixed
 	// quantum keeps the abort cadence tuning-independent.
 	tun.BackoffBase = 1 << 30
-	l := New("HBO_GT", r, tun).(specTimedTryQI)
+	l := New("HBO_GT", r, tun).(specTimedTryI)
 	th := r.RegisterThread(0)
 
 	// Throttle th's node, as a remote-spinning node winner would.
@@ -35,7 +35,7 @@ func TestTimedThrottlePollQuantum(t *testing.T) {
 	}
 
 	// Un-throttle; protocol state must be idle after the abort.
-	l.words[spin][0].v.Store(hboDummy)
+	l.words[spin][0].v.Store(0)
 	if err := l.Quiescent(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,5 +62,38 @@ func TestSpecCapabilitySurface(t *testing.T) {
 				t.Errorf("%s: InjectWord without Quiescent (harness cannot verify recovery)", name)
 			}
 		}
+	}
+}
+
+// TestHierFarBackoffHonoured pins the drift the HBO_HIER port removed:
+// the hand-written native lock ignored Tuning.FarBackoffBase/Cap and
+// always backed off 4x the remote constants across clusters, while the
+// simulated one honoured them (falling back to 4x only when unset). With
+// the remote constants made enormous, a cross-cluster contender gets the
+// lock promptly only if the far constants are the ones in use; this test
+// fails against the old behavior.
+func TestHierFarBackoffHonoured(t *testing.T) {
+	r := NewRuntimeHierarchical(4, 2, 2)
+	tun := DefaultTuning()
+	// One 4x-remote backoff would busy-wait for seconds.
+	tun.RemoteBackoffBase, tun.RemoteBackoffCap = 1<<30, 1<<30
+	tun.FarBackoffBase, tun.FarBackoffCap = 16, 64
+	l := New("HBO_HIER", r, tun)
+	holder := r.RegisterThread(0)
+	far := r.RegisterThread(2) // other cluster: distance 2
+
+	l.Acquire(holder)
+	done := make(chan struct{})
+	go func() {
+		l.Acquire(far)
+		l.Release(far)
+		close(done)
+	}()
+	time.Sleep(5 * time.Millisecond) // let the contender settle into its far schedule
+	l.Release(holder)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("cross-cluster contender still backing off: schedule followed 4x RemoteBackoff instead of FarBackoffBase/Cap")
 	}
 }

@@ -17,19 +17,18 @@ import (
 // TryLocker from outside: AcquireFor runs *inside* the lock's own
 // waiting loops, so it keeps the algorithm's backoff behaviour (and,
 // for the HBO family, its throttle-word protocol) while waiting.
-// Queue locks are deliberately absent — their enqueue commits the
-// thread, and retracting it needs a full abandonment protocol
-// (Scott & Scherer PPoPP 2001; Chabbi et al.'s HMCS-T), which the
-// native family does not carry. Their simulated counterpart CLH_TRY
-// demonstrates the protocol on the simulated machine.
+// Plain queue locks are absent — their enqueue commits the thread,
+// and retracting it needs a full abandonment protocol; the two queue
+// locks that carry one (CLH_TRY's Scott & Scherer splice-out, HMCS_T's
+// status-word abort race) are timed here exactly as on the simulator.
 type TimedLock interface {
 	Lock
 	AcquireFor(t *Thread, d time.Duration) bool
 }
 
 // TimedNames lists the native locks that implement TimedLock, derived
-// from the lockspec registry (simulator-only protocols omitted).
-func TimedNames() []string { return lockspec.TimedNames(false) }
+// from the lockspec registry.
+func TimedNames() []string { return lockspec.TimedNames() }
 
 // AcquireWithin is the capability-dispatching timed acquire: the
 // plumbing callers use when the lock algorithm is configuration (the

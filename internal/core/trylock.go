@@ -2,70 +2,17 @@ package core
 
 import "time"
 
-// TryLocker is implemented by algorithms that support a non-blocking
-// acquisition attempt. Queue locks whose enqueue commits the thread
-// (CLH, TICKET, ANDERSON, COHORT) cannot offer it without the timeout
-// protocols of Scott & Scherer (PPoPP 2001) — cited by the paper — and
-// are deliberately left out.
+// TryLocker is implemented by algorithms whose spec carries a TryBody:
+// a non-blocking acquisition attempt. Queue locks whose enqueue commits
+// the thread (CLH, TICKET, ANDERSON, COHORT) cannot offer it without the
+// timeout protocols of Scott & Scherer (PPoPP 2001) — cited by the
+// paper — and are deliberately left out.
 type TryLocker interface {
 	Lock
 	// TryAcquire attempts one acquisition without waiting and reports
 	// whether the lock was obtained.
 	TryAcquire(t *Thread) bool
 }
-
-// TryAcquire attempts a single cas of the caller's node id. (The
-// spec-backed algorithms — TATAS family, HBO family, CNA — carry their
-// try paths in their specs' TryBody.)
-func (l *HBOHier) TryAcquire(t *Thread) bool {
-	return l.word.v.CompareAndSwap(hboFree, hboNodeVal(t.node))
-}
-
-// TryAcquire attempts to take the caller's node copy when it is free or
-// locally free. When the lock lives in the other node, it makes one
-// non-blocking steal attempt (claiming and, on failure, releasing the
-// node-winner role).
-func (l *RH) TryAcquire(t *Thread) bool {
-	my := &l.copies[t.node].v
-	val := rhThreadVal(t.id)
-	if my.CompareAndSwap(rhFree, val) || my.CompareAndSwap(rhLFree, val) {
-		return true
-	}
-	if l.nodes != 2 || !my.CompareAndSwap(rhRemote, rhTaken) {
-		return false
-	}
-	// One shot at the other node's copy.
-	other := &l.copies[1-t.node].v
-	if v := other.Load(); v == rhFree || v == rhLFree {
-		if other.CompareAndSwap(v, rhRemote) {
-			if !my.CompareAndSwap(rhTaken, val) {
-				panic("core: RH node-winner copy stolen")
-			}
-			return true
-		}
-	}
-	// Steal failed; give the winner role back.
-	if !my.CompareAndSwap(rhTaken, rhRemote) {
-		panic("core: RH node-winner copy stolen")
-	}
-	return false
-}
-
-// TryAcquire succeeds only when the queue is empty: it swings the tail
-// from nil to this thread's node in one step, so no waiting can occur.
-func (l *MCS) TryAcquire(t *Thread) bool {
-	q := &l.qnodes[t.id]
-	q.next.v.Store(-1)
-	return l.tail.v.CompareAndSwap(-1, int64(t.id))
-}
-
-// Interface checks for the hand-written TryLocker implementations (the
-// spec-backed ones are checked in spec.go).
-var (
-	_ TryLocker = (*HBOHier)(nil)
-	_ TryLocker = (*RH)(nil)
-	_ TryLocker = (*MCS)(nil)
-)
 
 // AcquireTimeout repeatedly attempts TryAcquire with exponential backoff
 // until it succeeds or the deadline passes, reporting success. Polling a

@@ -21,6 +21,7 @@ const (
 	modeHBO hboMode = iota
 	modeGT
 	modeGTSD
+	modeHier
 )
 
 // Word layout for the HBO family. GT modes append the per-node
@@ -32,8 +33,9 @@ const (
 
 // hboSpec is the paper's Figure 1. mode selects plain HBO (the
 // emphasized GT lines skipped), HBO_GT (global-traffic throttling via
-// per-node is_spinning words), or HBO_GT_SD (GT plus the node-centric
-// starvation detection of Figure 2). The timed path is the same
+// per-node is_spinning words), HBO_GT_SD (GT plus the node-centric
+// starvation detection of Figure 2), or HBO_HIER (the same lock word
+// under hboHierAcquire's distance-ranked backoff). The timed path is the same
 // protocol with the deadline checked at backoff boundaries — deadline
 // checks touch no shared word, so the unbounded path issues the exact
 // access sequence of the paper's pseudocode. An abort restores every
@@ -42,13 +44,15 @@ const (
 // store the successful remote path issues — and any nodes the GT_SD
 // anger logic stopped are released.
 func hboSpec(name string, mode hboMode) *Spec {
-	gt := mode != modeHBO
+	gt := mode == modeGT || mode == modeGTSD
 	doc := "hierarchical backoff lock (Figure 1); lock stays in its node"
-	if mode == modeGT {
+	switch mode {
+	case modeGT:
 		doc = "HBO + per-node traffic throttling (is_spinning words)"
-	}
-	if mode == modeGTSD {
+	case modeGTSD:
 		doc = "HBO_GT + node-centric starvation detection (Figure 2)"
+	case modeHier:
+		doc = "hierarchical HBO (paper §4.1); third backoff tier across clusters"
 	}
 	words := []Word{{Name: "lock"}}
 	if gt {
@@ -60,10 +64,9 @@ func hboSpec(name string, mode hboMode) *Spec {
 		Meta: Meta{
 			Name:  name,
 			Doc:   doc,
-			Paper: true, NUCA: true, Timed: true, Try: true,
+			Paper: mode != modeHier, NUCA: true, Timed: mode != modeHier, Try: true,
 		},
-		Words:  words,
-		Inject: &Ref{W: hboLock, I: 0},
+		Words: words,
 		Release: func(e Env, tun *Tuning) {
 			// hbo_release (Figure 1, lines 62–65).
 			e.Store(hboLock, 0, hboFree)
@@ -89,6 +92,13 @@ func hboSpec(name string, mode hboMode) *Spec {
 			return nil
 		},
 	}
+	if mode == modeHier {
+		s.Acquire = hboHierAcquire
+		return s
+	}
+	// The harness corrupts the lock word to prove GT_SD bounds-checks the
+	// owner it decodes; HBO_HIER only ever passes it to Distance.
+	s.Inject = &Ref{W: hboLock, I: 0}
 	// Acquire is hbo_acquire (Figure 1, lines 1–10) with
 	// hbo_acquire_slowpath (lines 17–61; Figure 2 replaces the remote
 	// loop's tail in GT_SD mode). The paper's goto start / goto restart
@@ -128,13 +138,13 @@ func hboSpec(name string, mode hboMode) *Spec {
 				if e.Expired() {
 					return false // local waiters publish no auxiliary state
 				}
-				e.Backoff(&b, tun.BackoffFactor, tun.BackoffCap)
+				b = e.Backoff(b, tun.BackoffFactor, tun.BackoffCap)
 				tmp = e.CAS(hboLock, 0, hboFree, my)
 				if tmp == hboFree {
 					return true
 				}
 				if tmp != my {
-					e.Backoff(&b, tun.BackoffFactor, tun.BackoffCap)
+					b = e.Backoff(b, tun.BackoffFactor, tun.BackoffCap)
 					goto restart
 				}
 			}
@@ -159,7 +169,7 @@ func hboSpec(name string, mode hboMode) *Spec {
 					}
 					return false
 				}
-				e.Backoff(&b, tun.BackoffFactor, bcap)
+				b = e.Backoff(b, tun.BackoffFactor, bcap)
 				tmp = e.CAS(hboLock, 0, hboFree, my)
 				if tmp == hboFree {
 					if gt {
@@ -221,6 +231,53 @@ func hboSpec(name string, mode hboMode) *Spec {
 		goto start
 	}
 	return s
+}
+
+// hboHierAcquire is the hierarchical generalization the paper sketches
+// in section 4.1: "This scheme can be expanded in a hierarchical way,
+// using more than two sets of constants, for a hierarchical NUCA." The
+// lock word still holds the owner's node id; a contender chooses its
+// backoff schedule by its *distance* to the owner — same node, same
+// cluster, or across clusters — so the lock prefers the closest waiters
+// at every level of the hierarchy. On a flat machine there are two
+// distance classes, i.e. plain HBO's constants.
+func hboHierAcquire(e Env, tun *Tuning) bool {
+	node := e.Node()
+	my := hboNodeVal(node)
+	tmp := e.CAS(hboLock, 0, hboFree, my)
+	if tmp == hboFree {
+		return true
+	}
+	e.SlowPath()
+	for {
+		dist := e.Distance(node, int(tmp)-1)
+		var b, bcap int
+		switch dist {
+		case 0:
+			b, bcap = tun.BackoffBase, tun.BackoffCap
+		case 1:
+			b, bcap = tun.RemoteBackoffBase, tun.RemoteBackoffCap
+		default:
+			if b, bcap = tun.FarBackoffBase, tun.FarBackoffCap; b <= 0 {
+				b = 4 * tun.RemoteBackoffBase
+			}
+			if bcap <= 0 {
+				bcap = 4 * tun.RemoteBackoffCap
+			}
+		}
+		for {
+			b = e.Backoff(b, tun.BackoffFactor, bcap)
+			tmp = e.CAS(hboLock, 0, hboFree, my)
+			if tmp == hboFree {
+				return true
+			}
+			// If the owner moved to a different distance class,
+			// re-dispatch onto that class's schedule.
+			if e.Distance(node, int(tmp)-1) != dist {
+				break
+			}
+		}
+	}
 }
 
 func containsInt(s []int, v int) bool {

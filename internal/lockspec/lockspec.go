@@ -22,10 +22,9 @@
 // the differential checker (internal/check) used to hunt by comparison
 // can no longer be introduced by editing one copy.
 //
-// The registry (registry.go) additionally carries metadata entries for
-// the legacy hand-written algorithms that are not (yet) spec-backed, so
-// name lists, capability flags and CLI help in both stacks derive from
-// one table.
+// The registry (registry.go) lists every algorithm, so name lists,
+// capability flags, CLI help and the README lock table in both stacks
+// derive from one table.
 package lockspec
 
 import "fmt"
@@ -43,6 +42,10 @@ const (
 	// ScopePerThread declares Count words per thread, homed at the
 	// thread's node (queue-lock nodes, CNA's qnode fields).
 	ScopePerThread
+	// ScopeLockPerThread declares Count words per thread, all homed at
+	// the lock's home node (Anderson's slot array — one slot per
+	// contender, but centralized, which is its NUMA weakness).
+	ScopeLockPerThread
 )
 
 // Word declares one named piece of shared lock state. Every element
@@ -50,8 +53,10 @@ const (
 type Word struct {
 	Name  string
 	Scope Scope
-	Count int    // elements per unit; 0 means 1
-	Init  uint64 // initial value of every element
+	Count int // elements per unit; 0 means 1
+	// Init, when non-nil, gives element i's initial value on a machine
+	// of the given node count; nil means every element starts at zero.
+	Init func(i, nodes int) uint64
 }
 
 // count returns the per-unit multiplicity.
@@ -68,7 +73,7 @@ func (w Word) Elems(nodes, threads int) int {
 	switch w.Scope {
 	case ScopePerNode:
 		return nodes * w.count()
-	case ScopePerThread:
+	case ScopePerThread, ScopeLockPerThread:
 		return threads * w.count()
 	default:
 		return w.count()
@@ -101,6 +106,11 @@ type Env interface {
 	Nodes() int
 	// Threads returns the thread-id capacity.
 	Threads() int
+	// Distance classifies how far apart two nodes are: 0 same node, 1
+	// same cluster (or any other node of a flat machine), 2 across
+	// clusters. Any integer is a valid operand, so a corrupted lock
+	// word's decoded owner is merely "far away".
+	Distance(a, b int) int
 	// Tag returns a non-zero value identifying this lock instance,
 	// suitable for publication in throttle words (the HBO family's
 	// is_spinning protocol).
@@ -124,18 +134,24 @@ type Env interface {
 	// the non-blocking primitive for try paths and tail swings whose
 	// failure has its own handling.
 	CASOnce(w, i int, expect, v uint64) bool
-	// FetchInc atomically increments and returns the previous value
-	// (built from a load+CAS loop on the simulator, as on SPARC).
-	FetchInc(w, i int) uint64
+	// FetchAdd atomically adds delta (two's complement) and returns the
+	// previous value (built from a load+CAS loop on the simulator, as
+	// on SPARC).
+	FetchAdd(w, i int, delta uint64) uint64
 	// HolderInc increments a word only the lock holder writes (a plain
 	// load+store on the simulator — the ticket lock's release idiom).
 	HolderInc(w, i int)
 
 	// Delay burns roughly units iterations of the empty backoff loop.
 	Delay(units int)
-	// Backoff delays *b units and grows *b by factor up to cap (the
-	// paper's backoff helper, Figure 1 lines 11–16).
-	Backoff(b *int, factor, cap int)
+	// Backoff delays b units and returns b grown by factor up to cap
+	// (the paper's backoff helper, Figure 1 lines 11–16; by value, so a
+	// body's backoff state never escapes to the heap).
+	Backoff(b, factor, cap int) int
+	// Timed reports whether the acquire runs under a deadline at all.
+	// A body whose bounded wait must poll where its unbounded wait
+	// parks (CLH_TRY's backoff-paced spin) branches on it.
+	Timed() bool
 	// Expired reports whether the acquire's deadline has passed. Always
 	// false for unbounded acquires; never touches shared memory.
 	Expired() bool
@@ -166,13 +182,21 @@ type Env interface {
 	GrantWait(w, i int, my uint64) bool
 	// SlowPath marks the acquire contended: the native side fires the
 	// lock's Probe.Contended hook (once per acquire) and begins
-	// counting spin work; the simulator ignores it.
+	// counting spin work; the simulator ignores it. AwaitZero,
+	// AwaitWhile and GrantWait also mark it themselves once they
+	// actually have to wait, so a body whose only slow path is such a
+	// wait need not call it.
 	SlowPath()
 	// Scratch returns this thread's private scratch words for this lock
 	// (queue-slot indices and the like). Scratch is host storage — it
 	// models the paper's "thread-private register" and costs nothing in
 	// either instantiation.
 	Scratch() *[4]uint64
+	// NodeScratch returns the host word the acquiring thread's node
+	// shares for this lock. Only the lock holder may touch it (RH's
+	// local-handover streak); like Scratch it costs nothing in either
+	// instantiation.
+	NodeScratch() *uint64
 }
 
 // Peeker reads lock state without simulated cost or synchronization —
@@ -184,8 +208,7 @@ type Peeker interface {
 	Threads() int
 }
 
-// Meta is the registry metadata every algorithm carries, spec-backed or
-// not.
+// Meta is the registry metadata every algorithm carries.
 type Meta struct {
 	Name string
 	// Doc is the one-line description the README lock table renders.
@@ -196,9 +219,6 @@ type Meta struct {
 	NUCA bool
 	// Timed marks algorithms with a genuinely timed, abortable acquire.
 	Timed bool
-	// SimOnly marks algorithms implemented only on the simulator
-	// (CLH_TRY's splice-out protocol).
-	SimOnly bool
 	// Try marks algorithms offering a native non-blocking TryAcquire.
 	Try bool
 	// MaxNodes bounds the machine shapes the algorithm supports

@@ -1,36 +1,26 @@
 package lockspec
 
-// The registry: every lock algorithm either stack knows, in canonical
+// The registry: every lock algorithm both stacks know, in canonical
 // order — the paper's eight first (its table order), then the
-// extensions in the order they were added. Spec-backed algorithms
-// carry transition bodies (Acquire != nil) and instantiate into both
-// stacks from this one description; the remaining entries are
-// metadata-only and still have hand-written twins (their name lists,
-// capability flags and docs derive from here all the same, so a lock
-// cannot exist in one list and not another).
+// extensions in the order they were added. Every entry carries
+// transition bodies and instantiates into both stacks from this one
+// description, so a lock cannot exist in one stack, name list or doc
+// table and not another.
 var registry = []*Spec{
 	tatasSpec(),
 	tatasExpSpec(),
-	{Meta: Meta{Name: "MCS", Paper: true, Try: true,
-		Doc: "Mellor-Crummey & Scott list queue lock; each waiter spins on its own node"}},
-	{Meta: Meta{Name: "CLH", Paper: true,
-		Doc: "Craig/Landin-Hagersten implicit-queue lock; spin on predecessor's node"}},
-	{Meta: Meta{Name: "RH", Paper: true, NUCA: true, Try: true, MaxNodes: 2,
-		Doc: "Radovic-Hagersten two-copy lock; node winner steals the remote copy"}},
+	mcsSpec(),
+	clhSpec(),
+	rhSpec(),
 	hboSpec("HBO", modeHBO),
 	hboSpec("HBO_GT", modeGT),
 	hboSpec("HBO_GT_SD", modeGTSD),
 	ticketSpec(),
-	{Meta: Meta{Name: "ANDERSON",
-		Doc: "Anderson array queue lock; slots in one circular flag array"}},
-	{Meta: Meta{Name: "REACTIVE",
-		Doc: "Lim-Agarwal reactive lock; switches TATAS_EXP <-> MCS by contention"}},
-	{Meta: Meta{Name: "HBO_HIER", NUCA: true, Try: true,
-		Doc: "hierarchical HBO (paper §4.1); third backoff tier across clusters"}},
-	{Meta: Meta{Name: "COHORT", NUCA: true,
-		Doc: "Dice-Marathe-Shavit ticket-ticket cohort lock; node-local handoffs"}},
-	{Meta: Meta{Name: "CLH_TRY", Timed: true, SimOnly: true,
-		Doc: "CLH with Scott-Scherer timeout splice-out (simulator only)"}},
+	andersonSpec(),
+	reactiveSpec(),
+	hboSpec("HBO_HIER", modeHier),
+	cohortSpec(),
+	clhTrySpec(),
 	cnaSpec(),
 	hmcstSpec(),
 }
@@ -38,8 +28,7 @@ var registry = []*Spec{
 // All returns every registered algorithm in canonical order.
 func All() []*Spec { return registry }
 
-// Lookup returns the named algorithm's entry, or nil. Spec-backed
-// entries (Backed) can be instantiated; metadata-only entries cannot.
+// Lookup returns the named algorithm's spec, or nil.
 func Lookup(name string) *Spec {
 	for _, s := range registry {
 		if s.Name == name {
@@ -48,10 +37,6 @@ func Lookup(name string) *Spec {
 	}
 	return nil
 }
-
-// Backed reports whether s carries transition bodies (instantiable via
-// simlock.FromSpec / core.FromSpec) rather than metadata alone.
-func (s *Spec) Backed() bool { return s.Acquire != nil }
 
 // names filters the registry in order.
 func names(keep func(*Spec) bool) []string {
@@ -69,22 +54,20 @@ func PaperNames() []string {
 	return names(func(s *Spec) bool { return s.Paper })
 }
 
-// ExtendedNames lists the algorithms beyond the paper's eight. With
-// simOnly false it omits the simulator-only protocols (the native
-// stack's view).
-func ExtendedNames(simOnly bool) []string {
-	return names(func(s *Spec) bool { return !s.Paper && (simOnly || !s.SimOnly) })
+// ExtendedNames lists the algorithms beyond the paper's eight.
+func ExtendedNames() []string {
+	return names(func(s *Spec) bool { return !s.Paper })
 }
 
 // AllNames lists the paper's eight plus the extensions.
-func AllNames(simOnly bool) []string {
-	return names(func(s *Spec) bool { return simOnly || !s.SimOnly })
+func AllNames() []string {
+	return names(func(*Spec) bool { return true })
 }
 
 // TimedNames lists the algorithms with a genuinely timed, abortable
 // acquire, in registry order.
-func TimedNames(simOnly bool) []string {
-	return names(func(s *Spec) bool { return s.Timed && (simOnly || !s.SimOnly) })
+func TimedNames() []string {
+	return names(func(s *Spec) bool { return s.Timed })
 }
 
 // NUCAAware reports whether the named algorithm exploits node locality
@@ -105,16 +88,11 @@ func MarkdownTable() string {
 		}
 		return ""
 	}
-	out := "| Algorithm | Paper | NUCA | Try | Timed | Stacks | Description |\n" +
-		"|---|---|---|---|---|---|---|\n"
+	out := "| Algorithm | Paper | NUCA | Try | Timed | Description |\n" +
+		"|---|---|---|---|---|---|\n"
 	for _, s := range registry {
-		stacks := "sim+native"
-		if s.SimOnly {
-			stacks = "sim only"
-		}
 		out += "| `" + s.Name + "` | " + mark(s.Paper) + " | " + mark(s.NUCA) +
-			" | " + mark(s.Try) + " | " + mark(s.Timed) + " | " + stacks +
-			" | " + s.Doc + " |\n"
+			" | " + mark(s.Try) + " | " + mark(s.Timed) + " | " + s.Doc + " |\n"
 	}
 	return out
 }

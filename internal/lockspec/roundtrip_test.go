@@ -1,9 +1,9 @@
 // Package lockspec_test checks the registry from outside: every
-// algorithm must instantiate in both stacks (or be flagged SimOnly),
-// and the sim and native instantiations of a spec must report identical
-// algorithm metadata — name and capability surface. This is the
-// test-level twin of the CI drift guard: an algorithm registered in one
-// stack only, or exposing a capability in one stack only, fails here.
+// algorithm must instantiate in both stacks, and the sim and native
+// instantiations of a spec must report identical algorithm metadata —
+// name and capability surface. This is the test-level twin of the CI
+// drift guard: an instantiation layer that drops or invents a
+// capability in one stack fails here.
 package lockspec_test
 
 import (
@@ -30,9 +30,10 @@ func testTopology() (*machine.Machine, []int, *core.Runtime) {
 }
 
 // TestSpecRoundTripMetadata instantiates every registered algorithm in
-// both stacks and asserts the two twins agree with the registry: same
-// name, and the Timed / Try / Quiesce / Inject capabilities surface on
-// both sides exactly when the spec declares them.
+// both stacks and asserts the two instantiations agree with the
+// registry: same name, a quiescence probe on both sides, and the Timed /
+// Try / Inject capabilities surfacing exactly when the spec declares
+// them.
 func TestSpecRoundTripMetadata(t *testing.T) {
 	m, cpus, r := testTopology()
 	for _, s := range lockspec.All() {
@@ -42,87 +43,55 @@ func TestSpecRoundTripMetadata(t *testing.T) {
 			if sl.Name() != s.Name {
 				t.Errorf("sim Name() = %q", sl.Name())
 			}
-			_, simTimed := sl.(simlock.TimedLock)
-			if simTimed != s.Timed {
+			if _, simTimed := sl.(simlock.TimedLock); simTimed != s.Timed {
 				t.Errorf("sim TimedLock = %v, registry Timed = %v", simTimed, s.Timed)
 			}
-			if s.Backed() {
-				_, simQ := sl.(simlock.Quiescer)
-				if simQ != (s.Quiesce != nil) {
-					t.Errorf("sim Quiescer = %v, spec Quiesce = %v", simQ, s.Quiesce != nil)
-				}
-				_, simInj := sl.(simlock.WordInjector)
-				if simInj != (s.Inject != nil) {
-					t.Errorf("sim WordInjector = %v, spec Inject = %v", simInj, s.Inject != nil)
-				}
+			if _, ok := sl.(simlock.Quiescer); !ok {
+				t.Error("sim lock is not a Quiescer")
+			}
+			if _, simInj := sl.(simlock.WordInjector); simInj != (s.Inject != nil) {
+				t.Errorf("sim WordInjector = %v, spec Inject = %v", simInj, s.Inject != nil)
 			}
 
-			if s.SimOnly {
-				return
-			}
 			nl := core.New(s.Name, r, core.DefaultTuning())
 			if nl.Name() != s.Name {
 				t.Errorf("native Name() = %q", nl.Name())
 			}
-			_, natTimed := nl.(core.TimedLock)
-			if natTimed != s.Timed {
+			if _, natTimed := nl.(core.TimedLock); natTimed != s.Timed {
 				t.Errorf("native TimedLock = %v, registry Timed = %v", natTimed, s.Timed)
 			}
-			_, natTry := nl.(core.TryLocker)
-			if natTry != s.Try {
+			if _, natTry := nl.(core.TryLocker); natTry != s.Try {
 				t.Errorf("native TryLocker = %v, registry Try = %v", natTry, s.Try)
 			}
-			if s.Backed() {
-				_, natQ := nl.(interface{ Quiescent() error })
-				if natQ != (s.Quiesce != nil) {
-					t.Errorf("native Quiescent = %v, spec Quiesce = %v", natQ, s.Quiesce != nil)
-				}
-				_, natInj := nl.(interface{ InjectWord(uint64) })
-				if natInj != (s.Inject != nil) {
-					t.Errorf("native InjectWord = %v, spec Inject = %v", natInj, s.Inject != nil)
-				}
+			if _, ok := nl.(interface{ Quiescent() error }); !ok {
+				t.Error("native lock has no Quiescent probe")
+			}
+			if _, natInj := nl.(interface{ InjectWord(uint64) }); natInj != (s.Inject != nil) {
+				t.Errorf("native InjectWord = %v, spec Inject = %v", natInj, s.Inject != nil)
 			}
 		})
 	}
 }
 
 // TestNameListsAgreeAcrossStacks pins that every name list both stacks
-// and the facade expose derives from the one registry.
+// expose is the registry's.
 func TestNameListsAgreeAcrossStacks(t *testing.T) {
-	if got, want := len(simlock.AllNames()), len(lockspec.AllNames(true)); got != want {
-		t.Errorf("simlock.AllNames: %d names, registry %d", got, want)
-	}
-	if got, want := len(core.AllNames()), len(lockspec.AllNames(false)); got != want {
-		t.Errorf("core.AllNames: %d names, registry %d", got, want)
-	}
-	for i, n := range core.Names() {
-		if simlock.Names()[i] != n {
-			t.Fatalf("paper name order diverges at %d: core %q vs sim %q",
-				i, n, simlock.Names()[i])
+	same := func(what string, got, want []string) {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %v, registry %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s diverges from the registry at %d: %q vs %q", what, i, got[i], want[i])
+			}
 		}
 	}
-	// The native list is the sim list minus simulator-only protocols.
-	simOnly := map[string]bool{}
-	for _, s := range lockspec.All() {
-		if s.SimOnly {
-			simOnly[s.Name] = true
-		}
-	}
-	var fromSim []string
-	for _, n := range simlock.AllNames() {
-		if !simOnly[n] {
-			fromSim = append(fromSim, n)
-		}
-	}
-	native := core.AllNames()
-	if len(fromSim) != len(native) {
-		t.Fatalf("native %v vs sim-derived %v", native, fromSim)
-	}
-	for i := range native {
-		if native[i] != fromSim[i] {
-			t.Fatalf("name lists diverge at %d: %q vs %q", i, native[i], fromSim[i])
-		}
-	}
+	same("simlock.Names", simlock.Names(), lockspec.PaperNames())
+	same("core.Names", core.Names(), lockspec.PaperNames())
+	same("simlock.AllNames", simlock.AllNames(), lockspec.AllNames())
+	same("core.AllNames", core.AllNames(), lockspec.AllNames())
+	same("simlock.TimedNames", simlock.TimedNames(), lockspec.TimedNames())
+	same("core.TimedNames", core.TimedNames(), lockspec.TimedNames())
 }
 
 // TestREADMETableMatchesRegistry pins the README's lock table to the
@@ -150,11 +119,11 @@ func TestRegistryWellFormed(t *testing.T) {
 		if s.Doc == "" {
 			t.Errorf("%s: missing Doc line (README table renders it)", s.Name)
 		}
-		if s.Backed() && s.Release == nil {
-			t.Errorf("%s: Acquire without Release", s.Name)
+		if s.Acquire == nil || s.Release == nil || s.Quiesce == nil {
+			t.Errorf("%s: Acquire, Release and Quiesce are all required", s.Name)
 		}
-		if s.Inject != nil && s.Quiesce == nil {
-			t.Errorf("%s: Inject without Quiesce (harness cannot verify recovery)", s.Name)
+		if s.Try != (s.TryBody != nil) {
+			t.Errorf("%s: Try flag %v but TryBody present = %v", s.Name, s.Try, s.TryBody != nil)
 		}
 	}
 	if len(lockspec.PaperNames()) != 8 {
@@ -181,9 +150,6 @@ func TestUncontendedPairAllocatesNothing(t *testing.T) {
 			})
 			m.Run()
 
-			if s.SimOnly {
-				return
-			}
 			nl := core.New(s.Name, r, core.DefaultTuning())
 			th := r.RegisterThread(0)
 			pair := func() { nl.Acquire(th); nl.Release(th) }

@@ -1,5 +1,17 @@
 package lockspec
 
+import "fmt"
+
+// tatasQuiesce is the one-word locks' probe: the word reads free.
+func tatasQuiesce(name string) func(Peeker) error {
+	return func(q Peeker) error {
+		if v := q.Peek(0, 0); v != 0 {
+			return fmt.Errorf("%s: lock word %d not free at quiescence", name, v)
+		}
+		return nil
+	}
+}
+
 // tatasSpec is the traditional test-and-test&set lock: tas to acquire,
 // spin with plain loads while the lock is held, store zero to release.
 // An aborted timed attempt leaves no state behind — a failed tas writes
@@ -31,6 +43,7 @@ func tatasSpec() *Spec {
 		TryBody: func(e Env, tun *Tuning) bool {
 			return e.Load(0, 0) == 0 && e.TAS(0, 0) == 0
 		},
+		Quiesce: tatasQuiesce("TATAS"),
 	}
 }
 
@@ -55,7 +68,7 @@ func tatasExpSpec() *Spec {
 				if e.Expired() {
 					return false
 				}
-				e.Backoff(&b, tun.BackoffFactor, tun.BackoffCap)
+				b = e.Backoff(b, tun.BackoffFactor, tun.BackoffCap)
 				if e.Load(0, 0) != 0 {
 					continue
 				}
@@ -68,5 +81,6 @@ func tatasExpSpec() *Spec {
 		TryBody: func(e Env, tun *Tuning) bool {
 			return e.Load(0, 0) == 0 && e.TAS(0, 0) == 0
 		},
+		Quiesce: tatasQuiesce("TATAS_EXP"),
 	}
 }

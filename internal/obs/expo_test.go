@@ -17,8 +17,8 @@ func activeRegistry(t *testing.T) (*Registry, uint64) {
 	t.Helper()
 	r := NewRegistry()
 	rt := core.NewRuntime(2, 2)
-	a := r.Instrument(core.NewTATAS(), "alpha", WithSampleEvery(1))
-	b := r.Instrument(core.NewTicket(), "beta", WithSampleEvery(1))
+	a := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "alpha", WithSampleEvery(1))
+	b := r.Instrument(core.New("TICKET", rt, core.DefaultTuning()), "beta", WithSampleEvery(1))
 	t0 := rt.RegisterThread(0)
 	t1 := rt.RegisterThread(1)
 	const n = 25

@@ -41,7 +41,7 @@ func snapshotBytes(t *testing.T, r *Registry) []byte {
 func TestInstrumentedExactCounts(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(1, 1)
-	l := r.Instrument(core.NewTATAS(), "exact", WithSampleEvery(1))
+	l := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "exact", WithSampleEvery(1))
 	t0 := rt.RegisterThread(0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -70,7 +70,7 @@ func TestInstrumentedExactCounts(t *testing.T) {
 func TestSamplingLagAndSync(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(1, 1)
-	l := r.Instrument(core.NewTATAS(), "lagged", WithSampleEvery(8))
+	l := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "lagged", WithSampleEvery(8))
 	t0 := rt.RegisterThread(0)
 	// First acquire is sampled (flushes); the next 7 are not.
 	for i := 0; i < 5; i++ {
@@ -148,7 +148,7 @@ func TestSnapshotDeterminismAllLocks(t *testing.T) {
 func TestShardedRecordVsMergeRace(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(2, 2)
-	l := r.Instrument(core.NewTATAS(), "raced", WithSampleEvery(1))
+	l := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "raced", WithSampleEvery(1))
 	t0 := rt.RegisterThread(0)
 	t1 := rt.RegisterThread(1)
 
@@ -191,7 +191,7 @@ func TestShardedRecordVsMergeRace(t *testing.T) {
 func TestAbortsAndTries(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(1, 2)
-	l := r.Instrument(core.NewHBO(rt, core.DefaultTuning()), "hbo", WithSampleEvery(1))
+	l := r.Instrument(core.New("HBO", rt, core.DefaultTuning()), "hbo", WithSampleEvery(1))
 	timed := l.(core.TimedLock)
 	try := l.(core.TryLocker)
 	t0 := rt.RegisterThread(0)
@@ -227,7 +227,7 @@ func TestAbortsAndTries(t *testing.T) {
 func TestHandoffLocality(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(2, 3)
-	l := r.Instrument(core.NewTATAS(), "handoff", WithSampleEvery(1))
+	l := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "handoff", WithSampleEvery(1))
 	a := rt.RegisterThread(0)
 	b := rt.RegisterThread(0)
 	c := rt.RegisterThread(1)
@@ -247,9 +247,10 @@ func TestHandoffLocality(t *testing.T) {
 // TestRegistryNameDedup pins the collision policy.
 func TestRegistryNameDedup(t *testing.T) {
 	r := NewRegistry()
-	a := r.Instrument(core.NewTATAS(), "dup")
-	b := r.Instrument(core.NewTATAS(), "dup")
-	c := r.Instrument(core.NewTATAS(), "dup")
+	rt := core.NewRuntime(1, 1)
+	a := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "dup")
+	b := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "dup")
+	c := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "dup")
 	if a.Name() != "dup" || b.Name() != "dup#2" || c.Name() != "dup#3" {
 		t.Fatalf("names = %q %q %q", a.Name(), b.Name(), c.Name())
 	}
@@ -263,21 +264,21 @@ func TestRegistryNameDedup(t *testing.T) {
 func TestWrapperPreservesCapabilities(t *testing.T) {
 	r := NewRegistry()
 	rt := core.NewRuntime(1, 4)
-	tatas := r.Instrument(core.NewTATAS(), "cap-tatas")
+	tatas := r.Instrument(core.New("TATAS", rt, core.DefaultTuning()), "cap-tatas")
 	if _, ok := tatas.(core.TimedLock); !ok {
 		t.Error("instrumented TATAS lost TimedLock")
 	}
 	if _, ok := tatas.(core.TryLocker); !ok {
 		t.Error("instrumented TATAS lost TryLocker")
 	}
-	mcs := r.Instrument(core.NewMCS(rt), "cap-mcs")
+	mcs := r.Instrument(core.New("MCS", rt, core.DefaultTuning()), "cap-mcs")
 	if _, ok := mcs.(core.TimedLock); ok {
 		t.Error("instrumented MCS gained TimedLock")
 	}
 	if _, ok := mcs.(core.TryLocker); !ok {
 		t.Error("instrumented MCS lost TryLocker")
 	}
-	clh := r.Instrument(core.NewCLH(rt), "cap-clh")
+	clh := r.Instrument(core.New("CLH", rt, core.DefaultTuning()), "cap-clh")
 	if _, ok := clh.(core.TryLocker); ok {
 		t.Error("instrumented CLH gained TryLocker")
 	}

@@ -23,7 +23,7 @@ import (
 func benchLock(raw bool) (core.Lock, *core.Thread) {
 	rt := core.NewRuntime(1, 1)
 	t := rt.RegisterThread(0)
-	var l core.Lock = core.NewTATAS()
+	var l core.Lock = core.New("TATAS", rt, core.DefaultTuning())
 	if !raw {
 		l = NewRegistry().Instrument(l, "bench")
 	}

@@ -20,7 +20,7 @@ func TestFlightRecorderRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := core.NewRuntime(1, 1)
-	l := NewRegistry().Instrument(core.NewTATAS(), "flight", WithSampleEvery(1))
+	l := NewRegistry().Instrument(core.New("TATAS", rt, core.DefaultTuning()), "flight", WithSampleEvery(1))
 	th := rt.RegisterThread(0)
 	for i := 0; i < 5; i++ {
 		l.Acquire(th)

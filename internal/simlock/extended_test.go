@@ -12,14 +12,6 @@ func TestExtendedRegistry(t *testing.T) {
 	if len(AllNames()) != len(Names())+len(ExtendedNames()) {
 		t.Fatal("AllNames size wrong")
 	}
-	for _, n := range AllNames() {
-		if _, ok := factories[n]; !ok {
-			t.Errorf("no factory for %q", n)
-		}
-	}
-	if len(AllNames()) != len(factories) {
-		t.Fatalf("registry has %d entries, AllNames %d", len(factories), len(AllNames()))
-	}
 	for name, want := range map[string]bool{
 		"TICKET": false, "ANDERSON": false, "REACTIVE": false,
 		"HBO_HIER": true, "COHORT": true,
@@ -121,14 +113,15 @@ func TestAndersonSlotRing(t *testing.T) {
 func TestReactiveSwitchesModes(t *testing.T) {
 	m := testMachine(9)
 	cpus := roundRobinCPUs(m, 8)
-	l := New("REACTIVE", m, 0, cpus, DefaultTuning()).(*reactive)
+	l := New("REACTIVE", m, 0, cpus, DefaultTuning()).(*specLock)
+	mode := l.addrs[l.spec.WordIndex("mode")][0]
 	sawQueue := false
 	for tid := 0; tid < 8; tid++ {
 		tid := tid
 		m.Spawn(cpus[tid], func(p *machine.Proc) {
 			for i := 0; i < 120; i++ {
 				l.Acquire(p, tid)
-				if m.Peek(l.mode) == 1 {
+				if m.Peek(mode) == 1 {
 					sawQueue = true
 				}
 				p.Work(1000)
@@ -147,13 +140,13 @@ func TestReactiveSwitchesModes(t *testing.T) {
 
 	// Single-thread phase on a fresh lock: must stay in spin mode.
 	m2 := testMachine(10)
-	l2 := New("REACTIVE", m2, 0, []int{0}, DefaultTuning()).(*reactive)
+	l2 := New("REACTIVE", m2, 0, []int{0}, DefaultTuning()).(*specLock)
 	m2.Spawn(0, func(p *machine.Proc) {
 		for i := 0; i < 50; i++ {
 			l2.Acquire(p, 0)
 			l2.Release(p, 0)
 		}
-		if m2.Peek(l2.mode) != 0 {
+		if m2.Peek(l2.addrs[l2.spec.WordIndex("mode")][0]) != 0 {
 			t.Error("reactive lock left spin mode without contention")
 		}
 	})
@@ -318,7 +311,7 @@ func TestMutualExclusionProperty(t *testing.T) {
 func TestCLHTryTimesOutUnderHeldLock(t *testing.T) {
 	m := testMachine(41)
 	cpus := roundRobinCPUs(m, 3)
-	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(*clhTry)
+	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(TimedLock)
 	var timedOutAt sim.Time
 	gotLate := false
 	m.Spawn(cpus[0], func(p *machine.Proc) {
@@ -352,7 +345,7 @@ func TestCLHTryTimesOutUnderHeldLock(t *testing.T) {
 func TestCLHTryMiddleLeaverSplices(t *testing.T) {
 	m := testMachine(43)
 	cpus := roundRobinCPUs(m, 4)
-	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(*clhTry)
+	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(TimedLock)
 	var order []int
 	m.Spawn(cpus[0], func(p *machine.Proc) { // holder
 		l.Acquire(p, 0)
@@ -384,7 +377,7 @@ func TestCLHTryMiddleLeaverSplices(t *testing.T) {
 func TestCLHTryChurn(t *testing.T) {
 	m := testMachine(47)
 	cpus := roundRobinCPUs(m, 8)
-	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(*clhTry)
+	l := New("CLH_TRY", m, 0, cpus, DefaultTuning()).(TimedLock)
 	inCS, acquired := 0, 0
 	for tid := 0; tid < 8; tid++ {
 		tid := tid

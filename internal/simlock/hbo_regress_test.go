@@ -20,9 +20,8 @@ func angryTuning() Tuning {
 }
 
 // TestHBOGTSDOwnerBoundsGuard feeds the GT_SD slowpath a lock word whose
-// decoded owner is far out of range (the corrupted-word scenario the
-// native twin in internal/core guards against at core/hbo.go). Before
-// the guard was added here, the starvation detector indexed
+// decoded owner is far out of range (the corrupted-word scenario).
+// Before the spec guarded the decoded owner, the starvation detector indexed
 // is_spinning[owner] and crashed the whole machine; with the guard the
 // acquirer rides out the corruption and completes once the word clears.
 func TestHBOGTSDOwnerBoundsGuard(t *testing.T) {
@@ -32,11 +31,12 @@ func TestHBOGTSDOwnerBoundsGuard(t *testing.T) {
 	cfg.TimeLimit = 50 * sim.Millisecond // watchdog: fail, don't hang
 	m := machine.New(cfg)
 	cpus := []int{0, 1}
-	l := New("HBO_GT_SD", m, 0, cpus, angryTuning()).(specTQI)
-	lockWord := l.wordAddr(0, 0)
+	l := New("HBO_GT_SD", m, 0, cpus, angryTuning()).(specTI)
+	lockWord := l.addrs[0][0]
 
-	// Corrupt the lock word: owner id 99 on a 2-node machine.
-	l.InjectWord(m, hboNodeVal(99))
+	// Corrupt the lock word: owner id 99 on a 2-node machine (the word
+	// holds node id + 1).
+	l.InjectWord(m, 100)
 
 	acquired := 0
 	m.Spawn(0, func(p *machine.Proc) {
@@ -50,7 +50,7 @@ func TestHBOGTSDOwnerBoundsGuard(t *testing.T) {
 		// (and therefore several starvation-detection episodes), the
 		// corrupted word is cleared.
 		p.Work(200 * sim.Microsecond)
-		p.Store(lockWord, hboFree)
+		p.Store(lockWord, 0)
 	})
 	m.Run()
 
@@ -66,7 +66,7 @@ func TestHBOGTSDOwnerBoundsGuard(t *testing.T) {
 }
 
 // TestHBOQuiescence: after every acquirer finishes, the lock word is
-// free and every per-node is_spinning word has returned to hboDummy —
+// free and every per-node is_spinning word has returned to zero —
 // no node is left permanently throttled by a stale GT/GT_SD store.
 func TestHBOQuiescence(t *testing.T) {
 	for _, name := range []string{"HBO", "HBO_GT", "HBO_GT_SD"} {

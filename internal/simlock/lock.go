@@ -1,11 +1,17 @@
-// Package simlock implements the eight lock algorithms the HBO paper
-// evaluates — TATAS, TATAS_EXP, MCS, CLH, RH, HBO, HBO_GT and HBO_GT_SD —
-// as programs for the simulated NUCA machine in internal/machine.
+// Package simlock runs the lock algorithms of internal/lockspec — the
+// eight the HBO paper evaluates (TATAS, TATAS_EXP, MCS, CLH, RH, HBO,
+// HBO_GT, HBO_GT_SD) and the extensions beyond it — as programs for the
+// simulated NUCA machine in internal/machine.
 //
-// The HBO family is transcribed from the paper's Figures 1 and 2; the
-// others follow the classic published algorithms (Mellor-Crummey & Scott
-// 1991; Craig / Magnusson-Landin-Hagersten 1993/94). Native Go versions
-// of the same algorithms, for real programs, live in internal/core.
+// No algorithm is written here: FromSpec (spec.go) allocates a spec's
+// declared words in simulated memory and runs its transition bodies
+// against an Env whose every operation is a machine.Proc word access,
+// so a body pays simulated coherence traffic for exactly the loads,
+// stores and atomics it issues. What this package contributes is the
+// simulator's waiting policy (unbounded waits park on the watched cache
+// line, timed waits poll on a fixed quantum) and its tuning defaults.
+// internal/core instantiates the same specs over sync/atomic for real
+// programs.
 package simlock
 
 import (
@@ -52,19 +58,20 @@ type TimedLock interface {
 // protocol, which only CLH_TRY (splice-out) and HMCS_T (status-word
 // abort race) carry. A test pins this membership so a lock gaining or
 // losing a timed path updates the documentation.
-func TimedNames() []string { return lockspec.TimedNames(true) }
+func TimedNames() []string { return lockspec.TimedNames() }
 
-// Quiescer is implemented by locks whose auxiliary shared state (e.g.
-// the HBO family's per-node is_spinning words) must return to a known
-// idle value once no acquires are in flight. The correctness harness
-// checks it after every schedule.
+// Quiescer verifies that a lock's shared state (queue tails, ticket
+// counters, the HBO family's per-node is_spinning words) is back at a
+// known idle value once no acquires are in flight. Every spec declares
+// the probe, so every lock New builds is a Quiescer; the correctness
+// harness checks it after every schedule.
 type Quiescer interface {
 	Quiescent(m *machine.Machine) error
 }
 
-// WordInjector is implemented by locks that expose raw lock-word
-// injection, so the correctness harness can feed both twins of an
-// algorithm identical corrupted states and compare survival.
+// WordInjector is implemented by locks whose spec exposes its raw lock
+// word to the correctness harness, which corrupts it and checks the
+// acquirer survives.
 type WordInjector interface {
 	InjectWord(m *machine.Machine, v uint64)
 }
@@ -73,7 +80,7 @@ type WordInjector interface {
 // and error for each individual architecture". Units are iterations of
 // the empty delay loop (machine.Latencies.BackoffUnit each). The type
 // is shared with internal/core via lockspec, so one value can configure
-// an algorithm's twin in either stack (the native-only fields, like
+// an algorithm in either stack (the native-only fields, like
 // YieldThreshold, are ignored here).
 type Tuning = lockspec.Tuning
 
@@ -114,57 +121,21 @@ func Names() []string { return lockspec.PaperNames() }
 // in section 4.1 (HBO_HIER), the cohort-lock family that HBO helped
 // inspire (COHORT), a timeout-capable CLH (CLH_TRY), and the modern
 // NUMA locks CNA and HMCS_T.
-func ExtendedNames() []string { return lockspec.ExtendedNames(true) }
+func ExtendedNames() []string { return lockspec.ExtendedNames() }
 
 // AllNames lists the paper's eight plus the extensions.
-func AllNames() []string { return lockspec.AllNames(true) }
+func AllNames() []string { return lockspec.AllNames() }
 
 // NUCAAware reports whether the named algorithm exploits node locality
 // (the paper's "NUCA-aware" group).
 func NUCAAware(name string) bool { return lockspec.NUCAAware(name) }
 
-// New builds the named lock. It panics on an unknown name (experiment
-// configuration is programmer input).
+// New builds the named lock from its lockspec registry entry. It panics
+// on an unknown name (experiment configuration is programmer input).
 func New(name string, m *machine.Machine, home int, cpus []int, tun Tuning) Lock {
-	f, ok := factories[name]
-	if !ok {
+	s := lockspec.Lookup(name)
+	if s == nil {
 		panic(fmt.Sprintf("simlock: unknown lock %q", name))
 	}
-	return f(m, home, cpus, tun)
-}
-
-// factories maps every algorithm to its builder: spec-backed
-// algorithms instantiate through FromSpec (init below), the rest keep
-// hand-written sim implementations.
-var factories = map[string]Factory{
-	"MCS":      newMCS,
-	"CLH":      newCLH,
-	"RH":       newRH,
-	"ANDERSON": newAnderson,
-	"REACTIVE": newReactive,
-	"HBO_HIER": newHBOHier,
-	"COHORT":   newCohort,
-	"CLH_TRY":  newCLHTry,
-}
-
-func init() {
-	for _, s := range lockspec.All() {
-		if !s.Backed() {
-			continue
-		}
-		s := s
-		factories[s.Name] = func(m *machine.Machine, home int, cpus []int, tun Tuning) Lock {
-			return FromSpec(s, m, home, cpus, tun)
-		}
-	}
-}
-
-// backoff executes the paper's backoff helper (Figure 1, lines 11–16):
-// delay for *b loop iterations, then double *b up to cap.
-func backoff(p *machine.Proc, b *int, factor, cap int) {
-	p.Delay(*b)
-	*b *= factor
-	if *b > cap {
-		*b = cap
-	}
+	return FromSpec(s, m, home, cpus, tun)
 }

@@ -29,13 +29,12 @@ func roundRobinCPUs(m *machine.Machine, threads int) []int {
 	return cpus
 }
 
+// TestNamesCoverAllFactories: every listed name builds the lock it names.
 func TestNamesCoverAllFactories(t *testing.T) {
-	if len(AllNames()) != len(factories) {
-		t.Fatalf("AllNames() has %d entries, factories %d", len(AllNames()), len(factories))
-	}
+	m := testMachine(1)
 	for _, n := range AllNames() {
-		if _, ok := factories[n]; !ok {
-			t.Errorf("no factory for %q", n)
+		if l := New(n, m, 0, roundRobinCPUs(m, 2), DefaultTuning()); l.Name() != n {
+			t.Errorf("New(%q) built %q", n, l.Name())
 		}
 	}
 }

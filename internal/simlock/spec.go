@@ -8,8 +8,8 @@ import (
 
 // specLock runs a lockspec.Spec on the simulated machine: every Env
 // operation maps onto machine.Proc word accesses, so the spec body pays
-// simulated coherence traffic exactly like the hand-written locks it
-// replaced. Unbounded waits park on the watched cache line (the
+// simulated coherence traffic for exactly the accesses it issues.
+// Unbounded waits park on the watched cache line (the
 // machine's event-driven spin); timed waits poll on the fixed
 // lockspec.TimedPollUnits quantum, because a parked spinner may only
 // wake long after its deadline.
@@ -23,8 +23,9 @@ type specLock struct {
 	// is part of the lock's observable identity (addresses seed the
 	// machine's deterministic schedule), so FromSpec allocates words in
 	// declaration order, elements in index order.
-	addrs   [][]machine.Addr
-	scratch [][4]uint64
+	addrs       [][]machine.Addr
+	scratch     [][4]uint64
+	nodeScratch []uint64
 	// envs[tid] is thread tid's pooled environment, so an acquire
 	// allocates nothing. A thread runs one operation at a time per lock,
 	// and a pooled env's deadline is zero outside a timed acquire.
@@ -36,85 +37,64 @@ type specLock struct {
 // their node and per-thread words in the owning thread's node (cpus
 // maps thread ids to CPUs, as in Factory).
 func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun Tuning) Lock {
-	if spec == nil || !spec.Backed() {
-		panic("simlock: FromSpec needs a spec-backed algorithm")
-	}
 	nodes := m.Config().Nodes
 	if spec.MaxNodes > 0 && nodes > spec.MaxNodes {
 		panic("simlock: " + spec.Name + " supports fewer nodes than the machine has")
 	}
 	l := &specLock{
-		spec:    spec,
-		tun:     tun,
-		nodes:   nodes,
-		threads: len(cpus),
-		addrs:   make([][]machine.Addr, len(spec.Words)),
-		scratch: make([][4]uint64, len(cpus)),
-		envs:    make([]simEnv, len(cpus)),
+		spec:        spec,
+		tun:         tun,
+		nodes:       nodes,
+		threads:     len(cpus),
+		addrs:       make([][]machine.Addr, len(spec.Words)),
+		scratch:     make([][4]uint64, len(cpus)),
+		nodeScratch: make([]uint64, nodes),
+		envs:        make([]simEnv, len(cpus)),
 	}
 	for tid := range l.envs {
 		l.envs[tid] = simEnv{l: l, tid: tid}
 	}
 	for wi, w := range spec.Words {
 		as := make([]machine.Addr, w.Elems(nodes, len(cpus)))
-		k := 0
 		per := w.Elems(1, 1) // elements per unit
-		switch w.Scope {
-		case lockspec.ScopePerNode:
-			for n := 0; n < nodes; n++ {
-				for j := 0; j < per; j++ {
-					as[k] = m.Alloc(n, 1)
-					k++
-				}
+		for k := range as {
+			node := home
+			switch w.Scope {
+			case lockspec.ScopePerNode:
+				node = k / per
+			case lockspec.ScopePerThread:
+				node = m.NodeOf(cpus[k/per])
 			}
-		case lockspec.ScopePerThread:
-			for _, cpu := range cpus {
-				for j := 0; j < per; j++ {
-					as[k] = m.Alloc(m.NodeOf(cpu), 1)
-					k++
-				}
-			}
-		default:
-			for j := 0; j < per; j++ {
-				as[k] = m.Alloc(home, 1)
-				k++
-			}
+			as[k] = m.Alloc(node, 1)
 		}
-		if w.Init != 0 {
-			for _, a := range as {
-				m.Poke(a, w.Init)
+		if w.Init != nil {
+			for i, a := range as {
+				if v := w.Init(i, nodes); v != 0 {
+					m.Poke(a, v)
+				}
 			}
 		}
 		l.addrs[wi] = as
 	}
 
-	// Wrap in the capability combination the spec declares, so interface
-	// assertions (TimedLock, Quiescer, WordInjector) keep meaning what
-	// they meant for the hand-written locks.
-	timed, quiesce, inject := spec.Timed, spec.Quiesce != nil, spec.Inject != nil
-	switch {
-	case inject && !quiesce:
-		// No wrapper for injection sans quiescence; add one if a spec
-		// ever wants it rather than silently dropping the capability.
-		panic("simlock: " + spec.Name + " declares Inject without Quiesce")
-	case timed && quiesce && inject:
-		return specTQI{specTQ{specT{l}}}
-	case timed && quiesce:
-		return specTQ{specT{l}}
+	// Wrap in the capability combination the spec declares, so an
+	// interface assertion (TimedLock, WordInjector) succeeds exactly
+	// when the algorithm has the capability.
+	switch timed, inject := spec.Timed, spec.Inject != nil; {
+	case timed && inject:
+		return specTI{specT{l}}
 	case timed:
 		return specT{l}
-	case quiesce && inject:
-		return specQI{specQ{l}}
-	case quiesce:
-		return specQ{l}
+	case inject:
+		// No wrapper for injection sans timeout; add one if a spec ever
+		// wants it rather than silently dropping the capability.
+		panic("simlock: " + spec.Name + " declares Inject without Timed")
 	default:
 		return l
 	}
 }
 
 func (l *specLock) Name() string { return l.spec.Name }
-
-func (l *specLock) wordAddr(w, i int) machine.Addr { return l.addrs[w][i] }
 
 // env returns thread tid's pooled environment, bound to p.
 func (l *specLock) env(p *machine.Proc, tid int) *simEnv {
@@ -143,37 +123,23 @@ func (l *specLock) acquireTimeout(p *machine.Proc, tid int, d sim.Time) bool {
 	return ok
 }
 
-func (l *specLock) quiescent(m *machine.Machine) error {
+// Quiescent runs the spec's quiescence probe (every spec declares one).
+func (l *specLock) Quiescent(m *machine.Machine) error {
 	return l.spec.Quiesce(simPeeker{l: l, m: m})
 }
 
-func (l *specLock) injectWord(m *machine.Machine, v uint64) {
-	m.Poke(l.addrs[l.spec.Inject.W][l.spec.Inject.I], v)
-}
-
-// Capability wrappers. Embedding exposes every promoted method, so each
-// wrapper only adds the interfaces its layer introduces.
+// Capability wrappers: timed, and timed plus word injection.
 type specT struct{ *specLock }
 
 func (l specT) AcquireTimeout(p *machine.Proc, tid int, d sim.Time) bool {
 	return l.acquireTimeout(p, tid, d)
 }
 
-type specQ struct{ *specLock }
+type specTI struct{ specT }
 
-func (l specQ) Quiescent(m *machine.Machine) error { return l.quiescent(m) }
-
-type specQI struct{ specQ }
-
-func (l specQI) InjectWord(m *machine.Machine, v uint64) { l.injectWord(m, v) }
-
-type specTQ struct{ specT }
-
-func (l specTQ) Quiescent(m *machine.Machine) error { return l.quiescent(m) }
-
-type specTQI struct{ specTQ }
-
-func (l specTQI) InjectWord(m *machine.Machine, v uint64) { l.injectWord(m, v) }
+func (l specTI) InjectWord(m *machine.Machine, v uint64) {
+	m.Poke(l.addrs[l.spec.Inject.W][l.spec.Inject.I], v)
+}
 
 // simPeeker is the zero-cost quiescence view.
 type simPeeker struct {
@@ -187,8 +153,8 @@ func (q simPeeker) Threads() int         { return q.l.threads }
 
 // simEnv is one thread's execution environment. deadline 0 means
 // unbounded. Deadline checks read only the simulated clock, so a spec
-// body's unbounded path issues the exact event sequence of the
-// hand-written lock it replaced.
+// body's unbounded path issues the same event sequence with or without
+// them.
 type simEnv struct {
 	l        *specLock
 	p        *machine.Proc
@@ -203,9 +169,11 @@ func (e *simEnv) Node() int    { return e.p.Node() }
 func (e *simEnv) Nodes() int   { return e.l.nodes }
 func (e *simEnv) Threads() int { return e.l.threads }
 
+func (e *simEnv) Distance(a, b int) int { return e.p.Machine().Distance(a, b) }
+
 // Tag is the first declared word's address — never zero (machine.Alloc
-// starts above zero), unique per lock, and exactly the value the
-// hand-written HBO family published in is_spinning.
+// starts above zero) and unique per lock: the paper's HBO_GT publishes
+// the lock's address in is_spinning.
 func (e *simEnv) Tag() uint64 { return uint64(e.l.addrs[0][0]) }
 
 func (e *simEnv) Load(w, i int) uint64     { return e.p.Load(e.addr(w, i)) }
@@ -221,12 +189,12 @@ func (e *simEnv) CASOnce(w, i int, expect, v uint64) bool {
 	return e.p.CAS(e.addr(w, i), expect, v) == expect
 }
 
-// FetchInc is the cas-loop idiom available on SPARC.
-func (e *simEnv) FetchInc(w, i int) uint64 {
+// FetchAdd is the cas-loop idiom available on SPARC.
+func (e *simEnv) FetchAdd(w, i int, delta uint64) uint64 {
 	a := e.addr(w, i)
 	for {
 		v := e.p.Load(a)
-		if e.p.CAS(a, v, v+1) == v {
+		if e.p.CAS(a, v, v+delta) == v {
 			return v
 		}
 	}
@@ -240,9 +208,15 @@ func (e *simEnv) HolderInc(w, i int) {
 
 func (e *simEnv) Delay(units int) { e.p.Delay(units) }
 
-func (e *simEnv) Backoff(b *int, factor, cap int) {
-	backoff(e.p, b, factor, cap)
+func (e *simEnv) Backoff(b, factor, cap int) int {
+	e.p.Delay(b)
+	if b *= factor; b > cap {
+		b = cap
+	}
+	return b
 }
+
+func (e *simEnv) Timed() bool { return e.deadline != 0 }
 
 func (e *simEnv) Expired() bool {
 	return e.deadline != 0 && e.p.Now() >= e.deadline
@@ -323,3 +297,5 @@ func (e *simEnv) GrantWait(w, i int, my uint64) bool {
 func (e *simEnv) SlowPath() {}
 
 func (e *simEnv) Scratch() *[4]uint64 { return &e.l.scratch[e.tid] }
+
+func (e *simEnv) NodeScratch() *uint64 { return &e.l.nodeScratch[e.p.Node()] }
