@@ -41,8 +41,8 @@ type specLock struct {
 
 // scratchPad keeps each thread's scratch words on their own cache line.
 type scratchPad struct {
-	s [4]uint64
-	_ [32]byte
+	s [2]uint64
+	_ [48]byte
 }
 
 // nodePad keeps each node's holder-only word on its own cache line.
@@ -377,6 +377,6 @@ func (e *specEnv) SlowPath() {
 	}
 }
 
-func (e *specEnv) Scratch() *[4]uint64 { return &e.l.scratch[e.t.id].s }
+func (e *specEnv) Scratch() *[2]uint64 { return &e.l.scratch[e.t.id].s }
 
 func (e *specEnv) NodeScratch() *uint64 { return &e.l.nodeScratch[e.t.node].v }

@@ -191,7 +191,7 @@ type Env interface {
 	// (queue-slot indices and the like). Scratch is host storage — it
 	// models the paper's "thread-private register" and costs nothing in
 	// either instantiation.
-	Scratch() *[4]uint64
+	Scratch() *[2]uint64
 	// NodeScratch returns the host word the acquiring thread's node
 	// shares for this lock. Only the lock holder may touch it (RH's
 	// local-handover streak); like Scratch it costs nothing in either

@@ -24,6 +24,11 @@ type Proc struct {
 	proc *sim.Process
 	cpu  int
 	node int
+	// Local belongs to the layer that drives this processor: simlock
+	// keeps the processor's lock-execution environment here so that
+	// thousands of locks need not each hold one per thread. The machine
+	// never reads it.
+	Local any
 }
 
 // CPU returns the processor id (0 .. TotalCPUs-1).

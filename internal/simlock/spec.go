@@ -23,13 +23,12 @@ type specLock struct {
 	// is part of the lock's observable identity (addresses seed the
 	// machine's deterministic schedule), so FromSpec allocates words in
 	// declaration order, elements in index order.
-	addrs       [][]machine.Addr
-	scratch     [][4]uint64
+	addrs [][]machine.Addr
+	// scratch and nodeScratch back Env.Scratch and Env.NodeScratch.
+	// They are allocated on first use: most algorithms keep no host-side
+	// state, and applications build thousands of locks.
+	scratch     [][2]uint64
 	nodeScratch []uint64
-	// envs[tid] is thread tid's pooled environment, so an acquire
-	// allocates nothing. A thread runs one operation at a time per lock,
-	// and a pooled env's deadline is zero outside a timed acquire.
-	envs []simEnv
 }
 
 // FromSpec instantiates a spec-backed algorithm on machine m. home is
@@ -42,17 +41,11 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 		panic("simlock: " + spec.Name + " supports fewer nodes than the machine has")
 	}
 	l := &specLock{
-		spec:        spec,
-		tun:         tun,
-		nodes:       nodes,
-		threads:     len(cpus),
-		addrs:       make([][]machine.Addr, len(spec.Words)),
-		scratch:     make([][4]uint64, len(cpus)),
-		nodeScratch: make([]uint64, nodes),
-		envs:        make([]simEnv, len(cpus)),
-	}
-	for tid := range l.envs {
-		l.envs[tid] = simEnv{l: l, tid: tid}
+		spec:    spec,
+		tun:     tun,
+		nodes:   nodes,
+		threads: len(cpus),
+		addrs:   make([][]machine.Addr, len(spec.Words)),
 	}
 	for wi, w := range spec.Words {
 		as := make([]machine.Addr, w.Elems(nodes, len(cpus)))
@@ -96,10 +89,18 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 
 func (l *specLock) Name() string { return l.spec.Name }
 
-// env returns thread tid's pooled environment, bound to p.
+// env binds p's environment to this lock for one operation. A
+// processor executes one lock operation at a time, so it owns a single
+// reusable environment (allocated on its first operation) and an
+// acquire allocates nothing; its deadline is zero outside a timed
+// acquire.
 func (l *specLock) env(p *machine.Proc, tid int) *simEnv {
-	e := &l.envs[tid]
-	e.p = p
+	e, _ := p.Local.(*simEnv)
+	if e == nil {
+		e = &simEnv{p: p}
+		p.Local = e
+	}
+	e.l, e.tid = l, tid
 	return e
 }
 
@@ -151,7 +152,7 @@ func (q simPeeker) Peek(w, i int) uint64 { return q.m.Peek(q.l.addrs[w][i]) }
 func (q simPeeker) Nodes() int           { return q.l.nodes }
 func (q simPeeker) Threads() int         { return q.l.threads }
 
-// simEnv is one thread's execution environment. deadline 0 means
+// simEnv is one processor's execution environment. deadline 0 means
 // unbounded. Deadline checks read only the simulated clock, so a spec
 // body's unbounded path issues the same event sequence with or without
 // them.
@@ -296,6 +297,16 @@ func (e *simEnv) GrantWait(w, i int, my uint64) bool {
 
 func (e *simEnv) SlowPath() {}
 
-func (e *simEnv) Scratch() *[4]uint64 { return &e.l.scratch[e.tid] }
+func (e *simEnv) Scratch() *[2]uint64 {
+	if e.l.scratch == nil {
+		e.l.scratch = make([][2]uint64, e.l.threads)
+	}
+	return &e.l.scratch[e.tid]
+}
 
-func (e *simEnv) NodeScratch() *uint64 { return &e.l.nodeScratch[e.p.Node()] }
+func (e *simEnv) NodeScratch() *uint64 {
+	if e.l.nodeScratch == nil {
+		e.l.nodeScratch = make([]uint64, e.l.nodes)
+	}
+	return &e.l.nodeScratch[e.p.Node()]
+}
