@@ -163,9 +163,3 @@ type paddedUint64 struct {
 	v atomic.Uint64
 	_ [56]byte
 }
-
-// paddedInt64 is an atomic signed word alone on its cache line.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}

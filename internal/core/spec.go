@@ -281,7 +281,7 @@ func (e *specEnv) AwaitZero(w, i int) bool {
 	}
 	e.SlowPath()
 	for a.Load() != 0 {
-		if e.timed && time.Now().After(e.deadline) {
+		if e.Expired() {
 			return false
 		}
 		e.noteSpin()
@@ -301,7 +301,7 @@ func (e *specEnv) AwaitWhile(w, i int, v uint64) (uint64, bool) {
 		if cur != v {
 			return cur, true
 		}
-		if e.timed && time.Now().After(e.deadline) {
+		if e.Expired() {
 			return 0, false
 		}
 		e.noteSpin()
@@ -357,7 +357,7 @@ func (e *specEnv) GrantWait(w, i int, my uint64) bool {
 		if cur == my {
 			return true
 		}
-		if e.timed && time.Now().After(e.deadline) {
+		if e.Expired() {
 			return false
 		}
 		e.noteSpin()

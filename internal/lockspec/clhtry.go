@@ -60,7 +60,8 @@ func clhTrySpec() *Spec {
 			{Name: "dummy", Count: 2},
 		},
 		Acquire: func(e Env, tun *Tuning) bool {
-			me := clhOwn(e)
+			sc := e.Scratch()
+			me := clhOwn(sc, e.TID())
 			mw, mi := ctRef(me)
 			e.Store(mw, mi+ctStatus, ctWaiting)
 			prev := e.Swap(ctTail, 0, me)
@@ -78,7 +79,6 @@ func clhTrySpec() *Spec {
 					// Acquired. Adopt the predecessor's node for next
 					// time; ours stays live for our successor and is
 					// released by us.
-					sc := e.Scratch()
 					sc[clhMine], sc[clhHeld] = prev+1, me
 					return true
 				case ctLeaving:

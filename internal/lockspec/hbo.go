@@ -35,8 +35,8 @@ const (
 // emphasized GT lines skipped), HBO_GT (global-traffic throttling via
 // per-node is_spinning words), HBO_GT_SD (GT plus the node-centric
 // starvation detection of Figure 2), or HBO_HIER (the same lock word
-// under hboHierAcquire's distance-ranked backoff). The timed path is the same
-// protocol with the deadline checked at backoff boundaries — deadline
+// under hboHierAcquire's distance-ranked backoff). The timed path is the
+// same protocol with the deadline checked at backoff boundaries — deadline
 // checks touch no shared word, so the unbounded path issues the exact
 // access sequence of the paper's pseudocode. An abort restores every
 // protocol invariant: the lock word is never claimed, the aborting
@@ -258,7 +258,8 @@ func hboHierAcquire(e Env, tun *Tuning) bool {
 		case 1:
 			b, bcap = tun.RemoteBackoffBase, tun.RemoteBackoffCap
 		default:
-			if b, bcap = tun.FarBackoffBase, tun.FarBackoffCap; b <= 0 {
+			b, bcap = tun.FarBackoffBase, tun.FarBackoffCap
+			if b <= 0 {
 				b = 4 * tun.RemoteBackoffBase
 			}
 			if bcap <= 0 {

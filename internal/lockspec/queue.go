@@ -18,13 +18,14 @@ func mcsWords() []Word {
 
 func mcsAcquire(e Env, tailW, qW int) {
 	me := e.TID()
+	enc := uint64(me) + 1
 	e.Store(qW, me*2+mcsNext, 0)
-	prev := e.Swap(tailW, 0, uint64(me)+1)
+	prev := e.Swap(tailW, 0, enc)
 	if prev == 0 {
 		return // lock was free
 	}
 	e.Store(qW, me*2+mcsLocked, 1)
-	e.Store(qW, (int(prev)-1)*2+mcsNext, uint64(me)+1) // prev.next = me
+	e.Store(qW, (int(prev)-1)*2+mcsNext, enc) // prev.next = me
 	e.SlowPath()
 	e.AwaitZero(qW, me*2+mcsLocked)
 }
@@ -92,12 +93,12 @@ const (
 	clhHeld = 1
 )
 
-// clhOwn returns the handle thread e enqueues next.
-func clhOwn(e Env) uint64 {
-	if v := e.Scratch()[clhMine]; v != 0 {
+// clhOwn returns the handle the thread with scratch sc enqueues next.
+func clhOwn(sc *[2]uint64, tid int) uint64 {
+	if v := sc[clhMine]; v != 0 {
 		return v - 1
 	}
-	return uint64(e.TID()) + 1
+	return uint64(tid) + 1
 }
 
 // clhRef resolves a flag handle against the dummy and per-thread words.
@@ -121,7 +122,8 @@ func clhSpec() *Spec {
 		},
 		Words: []Word{{Name: "tail"}, {Name: "dummy"}, {Name: "flag", Scope: ScopePerThread}},
 		Acquire: func(e Env, tun *Tuning) bool {
-			me := clhOwn(e)
+			sc := e.Scratch()
+			me := clhOwn(sc, e.TID())
 			w, i := clhRef(me, clhDummy, clhFlag, 1)
 			e.Store(w, i, 1) // pending
 			prev := e.Swap(clhTail, 0, me)
@@ -129,7 +131,6 @@ func clhSpec() *Spec {
 			e.AwaitZero(w, i)
 			// Adopt the predecessor's flag for the next acquire; ours
 			// stays live (the successor spins on it) until Release.
-			sc := e.Scratch()
 			sc[clhMine], sc[clhHeld] = prev+1, me
 			return true
 		},

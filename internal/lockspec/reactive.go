@@ -41,9 +41,10 @@ func reactiveSpec() *Spec {
 		Acquire: func(e Env, tun *Tuning) bool {
 			viaQueue := e.Load(reMode, 0) == 1
 			// Release leaves through the protocol the acquire entered by.
-			e.Scratch()[0] = 0
+			sc := e.Scratch()
+			sc[0] = 0
 			if viaQueue {
-				e.Scratch()[0] = 1
+				sc[0] = 1
 				mcsAcquire(e, reTail, reQnode)
 			}
 			contended := e.TAS(reWord, 0) != 0

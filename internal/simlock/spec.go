@@ -9,8 +9,8 @@ import (
 // specLock runs a lockspec.Spec on the simulated machine: every Env
 // operation maps onto machine.Proc word accesses, so the spec body pays
 // simulated coherence traffic for exactly the accesses it issues.
-// Unbounded waits park on the watched cache line (the
-// machine's event-driven spin); timed waits poll on the fixed
+// Unbounded waits park on the watched cache line (the machine's
+// event-driven spin); timed waits poll on the fixed
 // lockspec.TimedPollUnits quantum, because a parked spinner may only
 // wake long after its deadline.
 type specLock struct {
@@ -59,12 +59,8 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 				node = m.NodeOf(cpus[k/per])
 			}
 			as[k] = m.Alloc(node, 1)
-		}
-		if w.Init != nil {
-			for i, a := range as {
-				if v := w.Init(i, nodes); v != 0 {
-					m.Poke(a, v)
-				}
+			if w.Init != nil {
+				m.Poke(as[k], w.Init(k, nodes))
 			}
 		}
 		l.addrs[wi] = as
