@@ -37,8 +37,8 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkEngineStepPingPong measures the per-step cost when control
-// must bounce between two processes through the engine (the channel
-// handoff slow path: their sleeps interleave, so neither can
+// must bounce between two processes through the engine (the coroutine
+// switch slow path: their sleeps interleave, so neither can
 // self-resume).
 func BenchmarkEngineStepPingPong(b *testing.B) {
 	b.ReportAllocs()
@@ -46,6 +46,24 @@ func BenchmarkEngineStepPingPong(b *testing.B) {
 	for id := 0; id < 2; id++ {
 		e.Spawn(id, func(p *Process) {
 			for i := 0; i < b.N/2; i++ {
+				p.Sleep(10)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineSwitch28 is the ping-pong at the suite's cell width: 28
+// processes whose sleeps interleave, so every step is a switch through
+// an event heap 28 deep — what a contended 28-thread cell pays per
+// spin-load, sift cost included.
+func BenchmarkEngineSwitch28(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	for id := 0; id < 28; id++ {
+		e.Spawn(id, func(p *Process) {
+			for i := 0; i < b.N/28; i++ {
 				p.Sleep(10)
 			}
 		})

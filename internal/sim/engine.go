@@ -1,10 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine drives a set of cooperating processes (each backed by a
-// goroutine) in strict one-at-a-time handoff order: exactly one process
-// executes between engine steps, so simulations are fully deterministic
-// for a given seed regardless of the host scheduler. Events with equal
-// timestamps fire in the order they were scheduled.
+// The engine drives a set of cooperating processes, each a runtime
+// coroutine (iter.Pull): resuming one is a direct switch on the calling
+// thread, with no channel and no trip through the Go scheduler. Exactly
+// one process executes between engine steps, so simulations are fully
+// deterministic for a given seed regardless of the host scheduler. Events
+// with equal timestamps fire in the order they were scheduled.
+//
+// There is one process kernel and nothing selects another: the event
+// order is a property of the heap, not of how a body is suspended, so a
+// second kernel could only differ in speed.
 //
 // The machine model in internal/machine is built on this engine; nothing
 // in this package knows about caches or locks.
@@ -12,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 )
 
@@ -130,8 +136,7 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	ctl     chan struct{} // process -> engine: parked or finished
-	running int           // live processes
+	running int // live processes
 	stopped bool
 	limited bool // stopped was set by the time limit, not Stop
 	killed  bool
@@ -157,7 +162,7 @@ func IsKill(r any) bool {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{}), events: *heapPool.Get().(*eventHeap)}
+	return &Engine{events: *heapPool.Get().(*eventHeap)}
 }
 
 // Now returns the current simulated time.
@@ -219,7 +224,9 @@ func (e *Engine) Pending() int { return len(e.events) }
 
 // Run executes events in timestamp order until no events remain, Stop is
 // called, or the time limit is exceeded. It must be called from the same
-// goroutine that constructed the engine.
+// goroutine that constructed the engine. A panic in a process body (or an
+// event callback) propagates out of Run to that caller; Shutdown then
+// still releases the other processes.
 //
 // Hitting the time limit leaves the offending event queued (the heap is
 // only peeked), so raising the limit with SetLimit and calling Run again
@@ -249,17 +256,17 @@ func (e *Engine) Run() {
 	}
 }
 
-// A Process is a simulated thread of control. Its body runs in a dedicated
-// goroutine but only ever executes while the engine has handed control to
+// A Process is a simulated thread of control. Its body runs on its own
+// coroutine but only ever executes while the engine has handed control to
 // it, so process code may freely touch engine state without locking.
 type Process struct {
-	e         *Engine
-	id        int
-	resume    chan struct{}
-	handoffFn func() // p.handoff bound once; a fresh method value allocates
-	started   bool
-	done      bool
-	blocked   bool // parked with no wake event (waiting on Wake)
+	e       *Engine
+	id      int
+	resume  func()              // engine side: run the body until it parks or finishes
+	yield   func(struct{}) bool // body side: park; false once stop was called
+	stop    func()              // nil until the start event has created the coroutine
+	done    bool
+	blocked bool // parked with no wake event (waiting on Wake)
 }
 
 // ID returns the identifier given at Spawn.
@@ -275,43 +282,44 @@ func (p *Process) Now() Time { return p.e.now }
 // (after previously scheduled same-time events). The body must only
 // interact with simulated time via the Process methods. Spawning on an
 // engine that has been shut down panics.
+//
+// A panic in the body is re-raised in whoever resumed the process — the
+// event loop, so it leaves Run on the caller's goroutine with the original
+// value (the stack is the engine's, not the body's). A body that installs
+// its own recover must re-panic values for which IsKill is true.
 func (e *Engine) Spawn(id int, body func(p *Process)) *Process {
 	if e.killed {
 		panic("sim: Spawn after Shutdown (the engine cannot be reused)")
 	}
-	p := &Process{e: e, id: id, resume: make(chan struct{})}
-	p.handoffFn = p.handoff
+	p := &Process{e: e, id: id}
 	e.running++
 	e.procs = append(e.procs, p)
+	// The coroutine is created by the start event, not here: one that is
+	// never resumed would have to be stopped to be freed.
 	e.Schedule(0, func() {
-		p.started = true
-		go func() {
-			<-p.resume
+		var next func() (struct{}, bool)
+		next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
 				p.done = true
 				e.running--
-				if r := recover(); r != nil {
-					if _, ok := r.(killSignal); !ok {
-						panic(r)
-					}
+				if r := recover(); r != nil && !IsKill(r) {
+					panic(r)
 				}
-				e.ctl <- struct{}{}
 			}()
-			if e.killed {
-				panic(killSignal{})
-			}
 			body(p)
-		}()
-		p.handoff()
+		})
+		p.resume = func() { next() }
+		p.resume()
 	})
 	return p
 }
 
 // Shutdown unwinds every process that has not finished and releases the
-// engine's event storage. It must be called after Run returns; the
-// engine cannot be used afterwards (Spawn and Schedule panic).
+// engine's event storage. It must be called after Run returns (or panics);
+// the engine cannot be used afterwards (Spawn and Schedule panic).
 // Simulations that stop early (Stop or a time limit) should call
-// Shutdown to avoid leaking the goroutines backing parked processes.
+// Shutdown to avoid leaking the coroutines backing parked processes.
 func (e *Engine) Shutdown() {
 	if e.killed {
 		return
@@ -321,12 +329,12 @@ func (e *Engine) Shutdown() {
 	for _, p := range e.procs {
 		switch {
 		case p.done:
-		case !p.started:
-			// The spawn event never ran; no goroutine exists yet.
+		case p.stop == nil:
+			// The spawn event never ran; no coroutine exists yet.
 			p.done = true
 			e.running--
 		default:
-			p.handoff()
+			p.stop() // park returns false; the body unwinds on killSignal
 		}
 	}
 	// Recycle the heap storage for the next engine. Clear any events
@@ -341,18 +349,9 @@ func (e *Engine) Shutdown() {
 	heapPool.Put(&h)
 }
 
-// handoff transfers control to p and waits for it to park or finish.
-// Called from engine context (inside an event callback).
-func (p *Process) handoff() {
-	p.resume <- struct{}{}
-	<-p.e.ctl
-}
-
-// park suspends the process body until the engine resumes it.
+// park suspends the body until the engine resumes it; a stop unwinds it.
 func (p *Process) park() {
-	p.e.ctl <- struct{}{}
-	<-p.resume
-	if p.e.killed {
+	if !p.yield(struct{}{}) {
 		panic(killSignal{})
 	}
 }
@@ -369,7 +368,7 @@ func (p *Process) Sleep(d Time) {
 	wake := e.now + d
 	// Fast path: if no queued event fires before (or at) the wake time,
 	// the engine would pop our wake event straight back to us — two
-	// channel round-trips for nothing. Advance the clock in place
+	// coroutine switches for nothing. Advance the clock in place
 	// instead. This fires exactly when the wake event would have been
 	// the next event popped, so the global event order (and therefore
 	// determinism) is unchanged; pending equal-time events keep priority
@@ -379,7 +378,7 @@ func (p *Process) Sleep(d Time) {
 		e.now = wake
 		return
 	}
-	e.Schedule(d, p.handoffFn)
+	e.Schedule(d, p.resume)
 	p.park()
 }
 
@@ -396,13 +395,13 @@ func (p *Process) Blocked() bool { return p.blocked }
 func (p *Process) Done() bool { return p.done }
 
 // Wake schedules a blocked process to resume at now+d. Waking a process
-// that is not blocked panics (it would corrupt the handoff protocol).
+// that is not blocked panics (it would resume a body that is not parked).
 func (p *Process) Wake(d Time) {
 	if !p.blocked {
 		panic("sim: wake of non-blocked process")
 	}
 	p.blocked = false
-	p.e.Schedule(d, p.handoffFn)
+	p.e.Schedule(d, p.resume)
 }
 
 // Running returns the number of processes that have not finished.

@@ -1,10 +1,30 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// goroutineBaseline returns a check that the runtime's goroutine count is
+// back to what it was at this call. Engine.Running is the kernel's own
+// counter; a coroutine that is never resumed or stopped again would leave
+// it at zero and still be a goroutine.
+func goroutineBaseline(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		// More, not different: a worker of an earlier test may still be
+		// on its way out when the baseline is taken.
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d goroutines, %d before the engine ran (leaked processes)", n, base)
+		}
+	}
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
@@ -167,6 +187,7 @@ func TestTimeLimitStopsRun(t *testing.T) {
 }
 
 func TestShutdownUnwindsBlockedProcesses(t *testing.T) {
+	defer goroutineBaseline(t)()
 	e := NewEngine()
 	for i := 0; i < 8; i++ {
 		e.Spawn(i, func(p *Process) { p.Block() })
@@ -180,6 +201,7 @@ func TestShutdownUnwindsBlockedProcesses(t *testing.T) {
 }
 
 func TestShutdownBeforeSpawnEventRuns(t *testing.T) {
+	defer goroutineBaseline(t)()
 	e := NewEngine()
 	e.Stop() // stop immediately; spawn events never execute
 	e.Spawn(0, func(p *Process) { t.Error("body must not run") })
@@ -292,6 +314,112 @@ func TestSleepCompletionOrderProperty(t *testing.T) {
 	}
 }
 
+// A kernelStep is one action of a scripted process in
+// TestProcessesMatchCallbackReference.
+type kernelStep struct {
+	kind   int // 0 sleep, 1 block, 2 wake target if it is blocked, 3 plain Schedule
+	d      Time
+	target int
+}
+
+type kernelRec struct {
+	at Time
+	id int // process id; -1-id for a callback the process scheduled
+}
+
+// TestProcessesMatchCallbackReference extends the property above to the
+// blocked path and to perturbed ties: scripted processes mixing Sleep,
+// Block/Wake and plain Schedule callbacks must leave the (time, id) trace
+// of a reference that runs the same scripts as callback state machines,
+// with no coroutine anywhere. The reference issues the same Schedule
+// calls in the same order (it repeats Sleep's fast-path test to do so),
+// so under Perturb both draw the same tie-break priorities; what is left
+// to differ is only whether suspending and resuming a body on its own
+// stack keeps the event order.
+func TestProcessesMatchCallbackReference(t *testing.T) {
+	defer goroutineBaseline(t)()
+	for script := uint64(1); script <= 40; script++ {
+		rng := NewRNG(script)
+		scripts := make([][]kernelStep, 2+rng.Intn(7))
+		for i := range scripts {
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				scripts[i] = append(scripts[i], kernelStep{
+					kind: rng.Intn(4), d: rng.Timen(12), target: rng.Intn(len(scripts)),
+				})
+			}
+		}
+		for _, seed := range []uint64{0, 1, 7} {
+			var got, want []kernelRec
+
+			e := NewEngine()
+			e.Perturb(seed)
+			procs := make([]*Process, len(scripts))
+			for i := range scripts {
+				procs[i] = e.Spawn(i, func(p *Process) {
+					for _, st := range scripts[p.ID()] {
+						got = append(got, kernelRec{p.Now(), p.ID()})
+						switch st.kind {
+						case 0:
+							p.Sleep(st.d)
+						case 1:
+							p.Block()
+						case 2:
+							if procs[st.target].Blocked() {
+								procs[st.target].Wake(st.d)
+							}
+						case 3:
+							e.Schedule(st.d, func() { got = append(got, kernelRec{e.Now(), -1 - p.ID()}) })
+						}
+					}
+				})
+			}
+			e.Run()
+			gotEnd := e.Now()
+			e.Shutdown() // some scripts end with a process nobody wakes
+
+			r := NewEngine()
+			r.Perturb(seed)
+			pc, blocked := make([]int, len(scripts)), make([]bool, len(scripts))
+			run := make([]func(), len(scripts))
+			for i := range scripts {
+				run[i] = func() {
+					for pc[i] < len(scripts[i]) {
+						st := scripts[i][pc[i]]
+						pc[i]++
+						want = append(want, kernelRec{r.Now(), i})
+						switch st.kind {
+						case 0:
+							wake := r.now + st.d
+							if st.d > 0 && len(r.events) > 0 && wake >= r.events[0].at {
+								r.Schedule(st.d, run[i])
+								return
+							}
+							r.now = wake
+						case 1:
+							blocked[i] = true
+							return
+						case 2:
+							if blocked[st.target] {
+								blocked[st.target] = false
+								r.Schedule(st.d, run[st.target])
+							}
+						case 3:
+							r.Schedule(st.d, func() { want = append(want, kernelRec{r.Now(), -1 - i}) })
+						}
+					}
+				}
+				r.Schedule(0, run[i])
+			}
+			r.Run()
+
+			if !slices.Equal(got, want) || gotEnd != r.Now() {
+				t.Fatalf("script %d, perturb %d: processes ended at %v with trace\n%v\ncallback reference ended at %v with\n%v",
+					script, seed, gotEnd, got, r.Now(), want)
+			}
+		}
+	}
+}
+
 // TestLimitKeepsOvershootingEvent: hitting the time limit must leave
 // the not-yet-due event queued so a later SetLimit+Run resume sees it
 // (the old pop-then-check loop silently dropped it).
@@ -321,6 +449,7 @@ func TestLimitKeepsOvershootingEvent(t *testing.T) {
 // limit must not leak the goroutines backing still-sleeping processes
 // once Shutdown runs.
 func TestEarlyStopReleasesAllProcesses(t *testing.T) {
+	defer goroutineBaseline(t)()
 	e := NewEngine()
 	e.SetLimit(50)
 	const n = 16
@@ -338,6 +467,93 @@ func TestEarlyStopReleasesAllProcesses(t *testing.T) {
 	e.Shutdown()
 	if e.Running() != 0 {
 		t.Fatalf("Running = %d after Shutdown, want 0 (leaked processes)", e.Running())
+	}
+}
+
+// TestFinishedProcessesNeedNoShutdown: a body that returns takes its
+// coroutine with it; Run to completion leaves nothing for Shutdown.
+func TestFinishedProcessesNeedNoShutdown(t *testing.T) {
+	defer goroutineBaseline(t)()
+	e := NewEngine()
+	for i := 0; i < 8; i++ {
+		e.Spawn(i, func(p *Process) {
+			p.Sleep(Time(10 + p.ID()))
+			p.Sleep(5)
+		})
+	}
+	e.Run()
+	if e.Running() != 0 {
+		t.Fatalf("Running = %d after Run, want 0", e.Running())
+	}
+}
+
+// TestBodyPanicLeavesRun: a panic in a process body surfaces in the
+// caller of Run with its original value, and Shutdown still unwinds the
+// processes it left parked, through their defers.
+func TestBodyPanicLeavesRun(t *testing.T) {
+	defer goroutineBaseline(t)()
+	e := NewEngine()
+	boom := fmt.Errorf("boom")
+	unwound := 0
+	for i := 0; i < 6; i++ {
+		e.Spawn(i, func(p *Process) {
+			defer func() { unwound++ }()
+			switch {
+			case p.ID() == 3:
+				p.Sleep(30)
+				panic(boom)
+			case p.ID()%2 == 0:
+				p.Block()
+			default:
+				for {
+					p.Sleep(7)
+				}
+			}
+		})
+	}
+	func() {
+		defer e.Shutdown()
+		defer func() {
+			if r := recover(); r != boom {
+				t.Errorf("Run panicked with %v, want the body's own value", r)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned; the body's panic was swallowed")
+	}()
+	if e.Running() != 0 || unwound != 6 {
+		t.Fatalf("Running = %d, %d bodies unwound; want 0 and 6", e.Running(), unwound)
+	}
+}
+
+// TestShutdownUnwindsThroughBodyRecover: a body with its own recover (the
+// correctness harness) sees the shutdown signal, tells it from a failure
+// with IsKill and re-panics it; the process then ends like any other.
+func TestShutdownUnwindsThroughBodyRecover(t *testing.T) {
+	defer goroutineBaseline(t)()
+	e := NewEngine()
+	sawKill, sawOther := 0, 0
+	for i := 0; i < 4; i++ {
+		e.Spawn(i, func(p *Process) {
+			defer func() {
+				if r := recover(); IsKill(r) {
+					sawKill++
+					panic(r)
+				} else if r != nil {
+					sawOther++
+				}
+			}()
+			if p.ID() == 0 {
+				p.Sleep(5)
+				panic("a lock bug the harness records")
+			}
+			p.Block()
+		})
+	}
+	e.Run()
+	e.Shutdown()
+	if sawKill != 3 || sawOther != 1 || e.Running() != 0 {
+		t.Fatalf("kill seen %d times, failure %d, Running %d; want 3, 1, 0", sawKill, sawOther, e.Running())
 	}
 }
 
