@@ -2,7 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/microbench"
+	"repro/internal/par"
+	"repro/internal/simlock"
 )
 
 // TestParallelMatchesSequential runs every experiment with a sequential
@@ -49,5 +56,57 @@ func TestMicroReportParallelByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("JSON run reports differ between -parallel 1 and -parallel 8:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// panicAfter is a lock whose n-th Acquire panics on the acquiring
+// simulated CPU, with the other threads of the cell parked in the lock.
+type panicAfter struct {
+	simlock.Lock
+	n   int
+	err error
+}
+
+func (l *panicAfter) Acquire(p *machine.Proc, tid int) {
+	if l.n--; l.n == 0 {
+		panic(l.err)
+	}
+	l.Lock.Acquire(p, tid)
+}
+
+// TestCellPanicSurfacesAsCellPanic: a panic inside a simulated lock body
+// travels out of the process into machine.Run's caller, so the pool sees
+// it like any other cell panic — *par.CellPanic naming the cell and
+// carrying the original value, at any width — instead of dying on a bare
+// goroutine. The cell's other processes are released as it unwinds.
+func TestCellPanicSurfacesAsCellPanic(t *testing.T) {
+	boom := errors.New("lock body bug")
+	const cells, bad = 6, 3
+	for _, width := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		o := quick()
+		o.Parallel = width
+		func() {
+			defer func() {
+				cp, ok := recover().(*par.CellPanic)
+				if !ok || cp.Item != bad || cp.Value != boom || !errors.Is(cp, boom) {
+					t.Errorf("parallel %d: recovered %v, want *par.CellPanic for item %d wrapping %v", width, cp, bad, boom)
+				}
+			}()
+			o.parfor(cells, func(i int) {
+				cfg := microbench.NewBenchConfig{
+					Machine: wildfire(uint64(1 + i)), Lock: "MCS", Threads: 8, Iterations: 20,
+					CriticalWork: 100, PrivateWork: 100, Tuning: simlock.DefaultTuning(),
+				}
+				if i == bad {
+					cfg.WrapLock = func(l simlock.Lock) simlock.Lock { return &panicAfter{Lock: l, n: 40, err: boom} }
+				}
+				microbench.NewBench(cfg)
+			})
+			t.Errorf("parallel %d: parfor returned; the cell's panic was lost", width)
+		}()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("parallel %d: %d goroutines after the panic, %d before (parked processes leaked)", width, n, base)
+		}
 	}
 }

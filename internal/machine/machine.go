@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -197,18 +198,26 @@ func (m *Machine) Alloc(home, words int) Addr {
 	wpl := m.wordsPerLine()
 	// Align to a line boundary so separate allocations never share a
 	// line (deliberate collocation uses a single multi-word Alloc).
-	for len(m.words)%wpl != 0 {
-		m.words = append(m.words, 0)
+	base := (len(m.words) + wpl - 1) / wpl * wpl
+	end := base + words
+	m.words = extend(m.words, end)
+	first := len(m.lines)
+	m.lines = extend(m.lines, (end+wpl-1)/wpl)
+	for i := first; i < len(m.lines); i++ {
+		m.lines[i].home = home
 	}
-	base := Addr(len(m.words))
-	for i := 0; i < words; i++ {
-		m.words = append(m.words, 0)
+	return Addr(base)
+}
+
+// extend returns s lengthened to n elements, the new ones zero. When it
+// has to reallocate it at least doubles: the runtime grows a large slice
+// by a quarter, and a model that allocates thousands of locks one Alloc
+// at a time then copies its 104-byte lines five times over, not twice.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, max(n-len(s), len(s)))
 	}
-	// Grow line metadata to cover the new words.
-	for len(m.lines)*wpl < len(m.words) {
-		m.lines = append(m.lines, line{home: home})
-	}
-	return base
+	return append(s, make([]T, n-len(s))...)
 }
 
 // wordsPerLine returns the configured line width (>= 1).
@@ -458,10 +467,12 @@ func (m *Machine) Spawn(cpu int, body func(p *Proc)) *Proc {
 
 // Run executes all spawned programs to completion (or the time limit) and
 // releases simulation resources. The machine can be inspected afterwards
-// but not run again.
+// but not run again. A panic in a program leaves Run with the original
+// value; the deferred Shutdown releases the other, still parked, programs
+// while it unwinds.
 func (m *Machine) Run() {
+	defer m.eng.Shutdown()
 	m.eng.Run()
-	m.eng.Shutdown()
 }
 
 // Aborted reports whether Run stopped at the time limit rather than by
