@@ -97,7 +97,7 @@ func measureServiceNsPerOp(durable bool) float64 {
 // minutes apart; the best pair estimates the undisturbed ratio.
 func TestWALOverheadGuard(t *testing.T) {
 	if os.Getenv("HBO_WAL_OVERHEAD_GUARD") != "1" {
-		t.Skip("set HBO_WAL_OVERHEAD_GUARD=1 to run the timing guard")
+		t.Skip("set HBO_WAL_OVERHEAD_GUARD=1 to run the timing guard; not asserted: durable acquire/release throughput >= 75% of in-memory")
 	}
 	const rounds = 5
 	// One warmup of each side before measuring.

@@ -64,7 +64,7 @@ func measureNsPerOp(raw bool, rounds int) float64 {
 // on an otherwise idle machine.
 func TestOverheadGuard(t *testing.T) {
 	if os.Getenv("HBO_OBS_OVERHEAD_GUARD") != "1" {
-		t.Skip("set HBO_OBS_OVERHEAD_GUARD=1 to run the timing guard")
+		t.Skip("set HBO_OBS_OVERHEAD_GUARD=1 to run the timing guard; not asserted: instrumented uncontended acquire/release within 15% of raw")
 	}
 	const rounds = 5
 	// Interleave one warmup of each side before measuring.
