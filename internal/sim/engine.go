@@ -11,6 +11,12 @@
 // order is a property of the heap, not of how a body is suspended, so a
 // second kernel could only differ in speed.
 //
+// There is also one event queue. Events fire in (at, pri, seq) order, and
+// that rule is written once: Engine owns the clock, the heap, the sequence
+// counter, the tie-break stream and the loop that pops them (runUntil). A
+// ParEngine (pdes.go) is N Engines plus a barrier; it adds windows and
+// mailboxes and no second queue.
+//
 // The machine model in internal/machine is built on this engine; nothing
 // in this package knows about caches or locks.
 package sim
@@ -141,6 +147,7 @@ type Engine struct {
 	limited bool // stopped was set by the time limit, not Stop
 	killed  bool
 	limit   Time // 0 = no limit
+	end     Time // exclusive bound of the runUntil in progress
 	procs   []*Process
 	// tiebreak, when non-nil, assigns each scheduled event a random
 	// priority that reorders equal-timestamp events (see Perturb).
@@ -171,7 +178,8 @@ func (e *Engine) Now() Time { return e.now }
 // SetLimit makes Run stop once the clock passes t (0 disables the
 // limit). After a limit-induced stop, raising or clearing the limit
 // re-arms the engine so Run can resume where it left off; a stop
-// requested via Stop is never undone.
+// requested via Stop is never undone. Run reads the limit when it starts:
+// call SetLimit between runs, not from an event.
 func (e *Engine) SetLimit(t Time) {
 	e.limit = t
 	if e.limited && (t == 0 || t > e.now) {
@@ -232,27 +240,37 @@ func (e *Engine) Pending() int { return len(e.events) }
 // only peeked), so raising the limit with SetLimit and calling Run again
 // resumes without losing it.
 func (e *Engine) Run() {
+	if e.limit == 0 {
+		e.runUntil(maxTime)
+		return
+	}
+	e.runUntil(e.limit + 1) // exclusive bound: an event at exactly the limit fires
+	if len(e.events) > 0 && !e.stopped {
+		e.now = e.limit
+		e.stopped = true
+		e.limited = true
+	}
+}
+
+// maxTime is the largest Time: the bound of a run with no limit.
+const maxTime = Time(1<<63 - 1)
+
+// runUntil fires queued events with timestamps before end, in (at, pri,
+// seq) order, until none is left or Stop is called. It is the one event
+// loop: Run bounds it by the limit, a ParEngine partition by its window.
+func (e *Engine) runUntil(end Time) {
+	e.end = end
 	for len(e.events) > 0 && !e.stopped {
 		at := e.events[0].at
+		if at >= end {
+			return
+		}
 		if at < e.now {
 			panic("sim: event time went backwards")
 		}
-		if e.limit > 0 && at > e.limit {
-			e.now = e.limit
-			e.stopped = true
-			e.limited = true
-			return
-		}
 		e.now = at
-		// Fire the whole same-timestamp batch under the checks above:
-		// equal-time events cannot trip the limit or move time backwards,
-		// so only the stop flag needs re-testing between them. (An event
-		// may advance the clock via the Sleep fast path; the batch ends
-		// then because remaining events sort strictly later.)
-		for len(e.events) > 0 && e.events[0].at == at && e.now == at && !e.stopped {
-			ev := e.events.pop()
-			ev.fn()
-		}
+		ev := e.events.pop()
+		ev.fn()
 	}
 }
 
@@ -373,8 +391,7 @@ func (p *Process) Sleep(d Time) {
 	// the next event popped, so the global event order (and therefore
 	// determinism) is unchanged; pending equal-time events keep priority
 	// because they were scheduled earlier.
-	if !e.stopped && (len(e.events) == 0 || wake < e.events[0].at) &&
-		(e.limit == 0 || wake <= e.limit) {
+	if !e.stopped && (len(e.events) == 0 || wake < e.events[0].at) && wake < e.end {
 		e.now = wake
 		return
 	}

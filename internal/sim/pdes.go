@@ -8,24 +8,25 @@ import (
 )
 
 // This file implements conservative parallel discrete-event simulation
-// (PDES) on top of the same event/heap machinery as the sequential
-// Engine. A ParEngine splits the event set into partitions (logical
-// processes), each with its own monomorphic min-heap and its own clock.
-// Partitions only interact through timestamped messages that must be
-// sent at least one lookahead ahead of the sender's clock, which makes
-// the classic conservative window argument hold: if T is the minimum
-// next-event time across all partitions, every event before T+lookahead
-// is causally independent of anything another partition has yet to do,
-// so all partitions may execute the window [T, T+lookahead) concurrently.
+// (PDES). A ParEngine splits the event set into partitions (logical
+// processes), and each partition is a sequential Engine: its clock, heap,
+// sequence counter, tie-break stream and event loop are the Engine's own,
+// run one window at a time. Partitions only interact through timestamped
+// messages that must be sent at least one lookahead ahead of the sender's
+// clock, which makes the classic conservative window argument hold: if T
+// is the minimum next-event time across all partitions, every event
+// before T+lookahead is causally independent of anything another
+// partition has yet to do, so all partitions may execute the window
+// [T, T+lookahead) concurrently.
 //
 // Determinism contract (the property everything downstream relies on):
 // the simulation result is byte-identical for any worker count,
 // including workers=1. Three mechanisms enforce it:
 //
 //  1. Partition-owned state. During a window a partition touches only
-//     its own heap, clock, sequence counter and outbox; the simulation
-//     model built on top must confine each partition's mutable state
-//     the same way (cross-partition effects go through Send).
+//     its own Engine and outbox; the simulation model built on top must
+//     confine each partition's mutable state the same way
+//     (cross-partition effects go through Send).
 //  2. Barrier-phase delivery. Messages produced during a window are
 //     collected after all partitions finish, sorted by (timestamp,
 //     source partition, source sequence) and only then pushed into the
@@ -37,11 +38,14 @@ import (
 //     tie-break priority of an event never depends on which worker
 //     executed which partition first.
 //
-// The sequential Engine in engine.go is the degenerate single-partition
-// case of this design and remains the right tool for models with
-// globally shared state (internal/machine's word-level coherence
-// simulation); ParEngine is for models whose state is partitioned, such
-// as the cluster-scale interconnect machine in internal/machine.
+// A one-partition ParEngine therefore fires the same events in the same
+// order, at the same clock readings, as an Engine given the same schedule
+// (TestOnePartitionParEngineMatchesEngine): what this file adds is the
+// window bound passed to Engine.runUntil, the outboxes and the barrier.
+// The Engine used alone remains the right tool for models with globally
+// shared state (internal/machine's word-level coherence simulation);
+// ParEngine is for models whose state is partitioned, such as the
+// cluster-scale interconnect machine in internal/machine.
 
 // Msg is a cross-partition event in flight: fn will execute on the
 // destination partition at the given absolute time.
@@ -97,13 +101,10 @@ func NewParEngine(parts, workers int, lookahead Time) *ParEngine {
 	d := &ParEngine{workers: workers, lookahead: lookahead, mailCap: DefaultMailboxCap}
 	d.parts = make([]*Part, parts)
 	for i := range d.parts {
-		d.parts[i] = &Part{d: d, id: i, events: *heapPool.Get().(*eventHeap)}
+		d.parts[i] = &Part{d: d, id: i, q: Engine{events: *heapPool.Get().(*eventHeap)}}
 	}
 	return d
 }
-
-// Parts returns the number of partitions.
-func (d *ParEngine) Parts() int { return len(d.parts) }
 
 // Workers returns the configured worker width.
 func (d *ParEngine) Workers() int { return d.workers }
@@ -129,15 +130,6 @@ func (d *ParEngine) SetLimit(t Time) {
 	}
 }
 
-// SetMailboxCap overrides the per-partition, per-window bound on
-// cross-partition sends (see DefaultMailboxCap). Call before Run.
-func (d *ParEngine) SetMailboxCap(n int) {
-	if n < 1 {
-		panic("sim: mailbox cap must be positive")
-	}
-	d.mailCap = n
-}
-
 // Stop makes Run return at the next window boundary. Unlike the
 // sequential engine, which stops after the current event, a parallel
 // window always completes once started — that is what keeps the result
@@ -155,11 +147,11 @@ func (d *ParEngine) Stopped() bool { return d.stopped.Load() || d.limited }
 // seed restores FIFO tie-breaks. Call before Run.
 func (d *ParEngine) Perturb(seed uint64) {
 	for _, p := range d.parts {
-		if seed == 0 {
-			p.tiebreak = nil
-		} else {
-			p.tiebreak = NewRNG(mixSeed(seed, uint64(p.id)))
+		s := seed
+		if s != 0 {
+			s = mixSeed(seed, uint64(p.id))
 		}
+		p.q.Perturb(s)
 	}
 }
 
@@ -167,7 +159,7 @@ func (d *ParEngine) Perturb(seed uint64) {
 func (d *ParEngine) Pending() int {
 	n := 0
 	for _, p := range d.parts {
-		n += len(p.events)
+		n += p.q.Pending()
 	}
 	return n
 }
@@ -225,8 +217,8 @@ func (d *ParEngine) Run() {
 		// Find the window start: the earliest queued event anywhere.
 		first := Time(-1)
 		for _, p := range d.parts {
-			if len(p.events) > 0 && (first < 0 || p.events[0].at < first) {
-				first = p.events[0].at
+			if len(p.q.events) > 0 && (first < 0 || p.q.events[0].at < first) {
+				first = p.q.events[0].at
 			}
 		}
 		if first < 0 {
@@ -249,7 +241,7 @@ func (d *ParEngine) Run() {
 		}
 		active = active[:0]
 		for _, p := range d.parts {
-			if len(p.events) > 0 && p.events[0].at < end {
+			if len(p.q.events) > 0 && p.q.events[0].at < end {
 				active = append(active, p)
 			}
 		}
@@ -267,7 +259,7 @@ func (d *ParEngine) runWindow(active []*Part, end Time) {
 	}
 	if w <= 1 {
 		for _, p := range active {
-			p.runWindow(end)
+			p.q.runUntil(end)
 		}
 		return
 	}
@@ -298,7 +290,7 @@ func (d *ParEngine) runWindow(active []*Part, end Time) {
 							mu.Unlock()
 						}
 					}()
-					p.runWindow(end)
+					p.q.runUntil(end)
 				}()
 			}
 		}()
@@ -333,13 +325,8 @@ func (d *ParEngine) deliver() {
 	})
 	for i := range d.inbox {
 		m := &d.inbox[i]
-		p := d.parts[m.dst]
-		p.seq++
-		var pri uint64
-		if p.tiebreak != nil {
-			pri = p.tiebreak.Uint64()
-		}
-		p.events.push(event{at: m.at, pri: pri, seq: p.seq, fn: m.fn})
+		q := &d.parts[m.dst].q
+		q.Schedule(m.at-q.now, m.fn)
 		m.fn = nil // don't pin the closure in the reused buffer
 	}
 }
@@ -353,14 +340,8 @@ func (d *ParEngine) Shutdown() {
 	d.killed = true
 	d.stopped.Store(true)
 	for _, p := range d.parts {
-		h := p.events
-		for i := range h {
-			h[i] = event{}
-		}
-		h = h[:0]
-		p.events = nil
+		p.q.Shutdown()
 		p.outbox = nil
-		heapPool.Put(&h)
 	}
 	d.inbox = nil
 }
@@ -372,13 +353,10 @@ func (d *ParEngine) Shutdown() {
 // model state without locking, and must touch nothing owned by another
 // partition — use Send for cross-partition effects.
 type Part struct {
-	d        *ParEngine
-	id       int
-	now      Time
-	events   eventHeap
-	seq      uint64
-	tiebreak *RNG
-	outbox   []msg
+	d      *ParEngine
+	id     int
+	q      Engine // the partition's clock, heap, sequence and tie-break stream
+	outbox []msg
 }
 
 // ID returns the partition index.
@@ -390,25 +368,12 @@ func (p *Part) Engine() *ParEngine { return p.d }
 // Now returns the partition's local clock. Partitions within the same
 // window may disagree by less than one lookahead; that skew is the
 // parallelism.
-func (p *Part) Now() Time { return p.now }
+func (p *Part) Now() Time { return p.q.now }
 
 // Schedule runs fn on this partition at now+delay. Intra-partition
 // events never synchronize with other partitions. Scheduling in the
 // past panics, as does scheduling after Shutdown.
-func (p *Part) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: schedule %v in the past", delay))
-	}
-	if p.d.killed {
-		panic("sim: Schedule after Shutdown (the engine cannot be reused)")
-	}
-	p.seq++
-	var pri uint64
-	if p.tiebreak != nil {
-		pri = p.tiebreak.Uint64()
-	}
-	p.events.push(event{at: p.now + delay, pri: pri, seq: p.seq, fn: fn})
-}
+func (p *Part) Schedule(delay Time, fn func()) { p.q.Schedule(delay, fn) }
 
 // Send schedules fn on partition dst at now+delay. delay must be at
 // least the engine's lookahead — that bound is what lets other
@@ -429,26 +394,9 @@ func (p *Part) Send(dst int, delay Time, fn func()) {
 	if len(p.outbox) >= p.d.mailCap {
 		panic(fmt.Sprintf("sim: partition %d exceeded its mailbox cap (%d messages in one window)", p.id, p.d.mailCap))
 	}
-	p.seq++
-	p.outbox = append(p.outbox, msg{at: p.now + delay, src: p.id, srcSeq: p.seq, dst: dst, fn: fn})
+	p.q.seq++
+	p.outbox = append(p.outbox, msg{at: p.q.now + delay, src: p.id, srcSeq: p.q.seq, dst: dst, fn: fn})
 }
 
 // Pending returns the number of events queued on this partition.
-func (p *Part) Pending() int { return len(p.events) }
-
-// runWindow executes this partition's events with timestamps in
-// [p.now, end). Called with exclusive ownership of the partition.
-func (p *Part) runWindow(end Time) {
-	for len(p.events) > 0 {
-		at := p.events[0].at
-		if at >= end {
-			return
-		}
-		if at < p.now {
-			panic("sim: event time went backwards")
-		}
-		p.now = at
-		ev := p.events.pop()
-		ev.fn()
-	}
-}
+func (p *Part) Pending() int { return p.q.Pending() }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -232,7 +233,7 @@ func TestParEnginePanics(t *testing.T) {
 	expectPanic("send after shutdown", func() { p.Send(1, 10, func() {}) })
 
 	c := NewParEngine(2, 1, 10)
-	c.SetMailboxCap(2)
+	c.mailCap = 2
 	cp := c.Part(0)
 	cp.Schedule(0, func() {
 		cp.Send(1, 10, func() {})
@@ -280,5 +281,122 @@ func TestMixSeedStability(t *testing.T) {
 	}
 	if a, b := mixSeed(42, 7), mixSeed(42, 7); a != b {
 		t.Fatal("mixSeed not deterministic")
+	}
+}
+
+// scriptNode is one callback of a random script: it fires delay after its
+// parent (a root: after time zero) and then schedules its kids.
+type scriptNode struct {
+	id    int
+	delay Time
+	kids  []*scriptNode
+}
+
+// randomScript draws a forest of nested callbacks whose delays come from a
+// small set, so many events share a timestamp.
+func randomScript(r *RNG) []*scriptNode {
+	delays := []Time{0, 0, 1, 2, 5, 5, 10, 40}
+	id := 0
+	var grow func(depth int) *scriptNode
+	grow = func(depth int) *scriptNode {
+		n := &scriptNode{id: id, delay: delays[r.Intn(len(delays))]}
+		id++
+		if depth < 3 {
+			for k := r.Intn(4); k > 0; k-- {
+				n.kids = append(n.kids, grow(depth+1))
+			}
+		}
+		return n
+	}
+	roots := make([]*scriptNode, 4+r.Intn(6))
+	for i := range roots {
+		roots[i] = grow(0)
+	}
+	return roots
+}
+
+// firing is one executed callback and the clock it read.
+type firing struct {
+	id int
+	at Time
+}
+
+// playScript schedules the script on q (an *Engine or a *Part) and returns
+// the slice its callbacks append to as they fire.
+func playScript(q interface {
+	Schedule(Time, func())
+	Now() Time
+}, roots []*scriptNode) *[]firing {
+	log := new([]firing)
+	var arm func(n *scriptNode)
+	arm = func(n *scriptNode) {
+		q.Schedule(n.delay, func() {
+			*log = append(*log, firing{n.id, q.Now()})
+			for _, k := range n.kids {
+				arm(k)
+			}
+		})
+	}
+	for _, n := range roots {
+		arm(n)
+	}
+	return log
+}
+
+// TestOnePartitionParEngineMatchesEngine pins that a partition is an
+// Engine: a one-partition ParEngine fires a script's callbacks in the
+// Engine's order, each reading the Engine's clock, and leaves the same
+// number queued when a limit stops it — at every lookahead, with FIFO and
+// with perturbed tie-breaks.
+func TestOnePartitionParEngineMatchesEngine(t *testing.T) {
+	type runner interface {
+		Run()
+		SetLimit(Time)
+		Pending() int
+		Shutdown()
+	}
+	// play runs the script to limit, then to the end, and reports the
+	// firings with Pending() after each Run appended as pseudo-firings.
+	play := func(r runner, log *[]firing, limit Time) []firing {
+		defer r.Shutdown()
+		r.SetLimit(limit)
+		r.Run()
+		*log = append(*log, firing{-1, Time(r.Pending())})
+		r.SetLimit(1 << 40)
+		r.Run()
+		return append(*log, firing{-2, Time(r.Pending())})
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		roots := randomScript(NewRNG(seed))
+		// Put the limit on an event's exact time, with one event past it
+		// that is queued from the start.
+		ref := NewEngine()
+		times := playScript(ref, roots)
+		ref.Run()
+		ref.Shutdown()
+		limit := (*times)[len(*times)/2].at
+		roots = append(roots, &scriptNode{id: -3, delay: limit + 1})
+
+		perturb := uint64(0)
+		if seed%2 == 0 {
+			perturb = seed
+		}
+		e := NewEngine()
+		if perturb != 0 {
+			e.Perturb(mixSeed(perturb, 0)) // partition 0's stream
+		}
+		want := play(e, playScript(e, roots), limit)
+		stop := slices.IndexFunc(want, func(f firing) bool { return f.id == -1 })
+		if want[stop].at < 1 || want[stop-1].at != limit || want[len(want)-1].at != 0 || len(want) != len(*times)+3 {
+			t.Fatalf("seed %d: the script did not stop at limit %d with events queued and then drain: %v", seed, limit, want)
+		}
+		for _, lookahead := range []Time{1, 7, 1000} {
+			d := NewParEngine(1, 1, lookahead)
+			d.Perturb(perturb)
+			got := play(d, playScript(d.Part(0), roots), limit)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d lookahead %d:\n got %v\nwant %v", seed, lookahead, got, want)
+			}
+		}
 	}
 }
