@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/microbench"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -38,26 +39,34 @@ func degIntensities(o Options) []float64 {
 	return []float64{0.25, 0.5, 0.75, 1.0}
 }
 
-// runDegraded executes one degraded cell; intensity 0 means fault-free.
-func runDegraded(name, schedule string, intensity float64, seed uint64,
-	threads, iters, private int) microbench.DegradedResult {
-	var fc fault.Config
-	if intensity > 0 {
-		var err error
-		fc, err = fault.Preset(schedule, seed*2654435761+1, intensity)
-		if err != nil {
-			panic(err) // schedules come from fault.Schedules()
-		}
+// degFault returns the named schedule's plan; intensity 0 means
+// fault-free.
+func degFault(schedule string, seed uint64, intensity float64) fault.Config {
+	if intensity == 0 {
+		return fault.Config{}
 	}
+	fc, err := fault.Preset(schedule, seed, intensity)
+	if err != nil {
+		panic(err) // schedules come from fault.Schedules()
+	}
+	return fc
+}
+
+// runDegraded executes one degraded cell: the Table 2 critical section on
+// machine cfg under plan fc, through the timed acquire path. wrap may be
+// nil.
+func runDegraded(cfg machine.Config, name string, fc fault.Config, threads, iters, private int,
+	wrap func(simlock.Lock) simlock.Lock) microbench.DegradedResult {
 	return microbench.DegradedBench(microbench.DegradedConfig{
 		NewBenchConfig: microbench.NewBenchConfig{
-			Machine:      wildfire(seed),
+			Machine:      cfg,
 			Lock:         name,
 			Threads:      threads,
 			Iterations:   iters,
 			CriticalWork: 1500,
 			PrivateWork:  private,
 			Tuning:       simlock.DefaultTuning(),
+			WrapLock:     wrap,
 		},
 		Fault:   fc,
 		Timeout: degTimeout,
@@ -86,7 +95,8 @@ func Deg1(o Options) []*stats.Table {
 		if ri > 0 {
 			intensity = intens[ri-1]
 		}
-		cells[i] = runDegraded(names[ni], schedule, intensity, 17, threads, iters, private)
+		cells[i] = runDegraded(wildfire(17), names[ni], degFault(schedule, 17*2654435761+1, intensity),
+			threads, iters, private, nil)
 	})
 
 	cols := append([]string{"Intensity"}, names...)
@@ -173,27 +183,7 @@ func Deg2(o Options) []*stats.Table {
 		cfg.CPUsPerNode = cpusPer
 		threads := 4 * nodes[ni] // constant per-node contention
 		run := func(intens float64) microbench.DegradedResult {
-			var fc fault.Config
-			if intens > 0 {
-				var err error
-				fc, err = fault.Preset(schedule, 4099, intens)
-				if err != nil {
-					panic(err)
-				}
-			}
-			return microbench.DegradedBench(microbench.DegradedConfig{
-				NewBenchConfig: microbench.NewBenchConfig{
-					Machine:      cfg,
-					Lock:         names[li],
-					Threads:      threads,
-					Iterations:   iters,
-					CriticalWork: 1500,
-					PrivateWork:  4000,
-					Tuning:       simlock.DefaultTuning(),
-				},
-				Fault:   fc,
-				Timeout: degTimeout,
-			})
+			return runDegraded(cfg, names[li], degFault(schedule, 4099, intens), threads, iters, 4000, nil)
 		}
 		cells[i] = cell{clean: run(0), degraded: run(intensity)}
 	})
@@ -223,7 +213,8 @@ func Deg2(o Options) []*stats.Table {
 // fault section carries the exact replay coordinates. Byte-identical
 // for a fixed (seed, schedule, intensity).
 func DegradedReport(o Options, seed uint64, schedule string, intensity float64) (*Report, error) {
-	if _, err := fault.Preset(schedule, seed, intensity); err != nil {
+	fc, err := fault.Preset(schedule, seed, intensity)
+	if err != nil {
 		return nil, err
 	}
 	threads, iters, private := newBenchDefaults(o)
@@ -251,25 +242,9 @@ func DegradedReport(o Options, seed uint64, schedule string, intensity float64) 
 	names := lockNames()
 	rep.Locks = make([]LockReport, len(names))
 	o.parfor(len(names), func(i int) {
-		fc, err := fault.Preset(schedule, seed, intensity)
-		if err != nil {
-			panic(err) // validated above
-		}
 		an := trace.NewAnalyzer()
-		res := microbench.DegradedBench(microbench.DegradedConfig{
-			NewBenchConfig: microbench.NewBenchConfig{
-				Machine:      cfg,
-				Lock:         names[i],
-				Threads:      threads,
-				Iterations:   iters,
-				CriticalWork: 1500,
-				PrivateWork:  private,
-				Tuning:       simlock.DefaultTuning(),
-				WrapLock:     func(l simlock.Lock) simlock.Lock { return trace.Wrap(l, an) },
-			},
-			Fault:   fc,
-			Timeout: degTimeout,
-		})
+		res := runDegraded(cfg, names[i], fc, threads, iters, private,
+			func(l simlock.Lock) simlock.Lock { return trace.Wrap(l, an) })
 		st := an.Aggregate()
 		lr := BuildLockReport(names[i], st, threads, res.Traffic, res.Lines)
 		lr.Aborts = res.Aborts

@@ -2,9 +2,7 @@ package microbench
 
 import (
 	"repro/internal/fault"
-	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/simlock"
 )
 
 // DegradedConfig parameterizes the graceful-degradation benchmark: the
@@ -46,95 +44,11 @@ func (r DegradedResult) AbortRate() float64 {
 	return float64(r.Aborts) / float64(attempts)
 }
 
-// DegradedBench runs the new microbenchmark on a degraded machine. The
-// workload is identical to NewBench — same placement, same RNG streams,
-// same shared-vector traffic — so a zero fault plan with Timeout 0
+// DegradedBench runs the new microbenchmark on a degraded machine. It is
+// NewBench's own loop (runBench), so a zero fault plan with Timeout 0
 // reproduces NewBench exactly, and any divergence under faults is
 // attributable to the injection.
 func DegradedBench(cfg DegradedConfig) DegradedResult {
-	mcfg := cfg.Machine
-	mcfg.Fault = cfg.Fault
-	m := machine.New(mcfg)
-	cpus := Placement(mcfg, cfg.Threads)
-	w0 := m.AllocatedWords()
-	var l simlock.Lock = buildLock(cfg.Lock, m, cpus, cfg.Tuning)
-	if lockWords := m.AllocatedWords() - w0; lockWords > 0 {
-		m.LabelRange(machine.Addr(w0), lockWords, "lock")
-	}
-	if cfg.WrapLock != nil {
-		l = cfg.WrapLock(l)
-	}
-	var timed simlock.TimedLock
-	if cfg.Timeout > 0 {
-		timed, _ = l.(simlock.TimedLock)
-	}
-
-	csLines := cfg.CriticalWork / intsPerLine
-	var csVec machine.Addr
-	if csLines > 0 {
-		csVec = m.Alloc(0, csLines)
-		m.LabelRange(csVec, csLines, "cs_data")
-	}
-
-	hc := newHandoffCounter()
-	finish := make([]sim.Time, cfg.Threads)
-	totalAcquires := 0
-	aborts := 0
-
-	for tid := 0; tid < cfg.Threads; tid++ {
-		tid := tid
-		m.Spawn(cpus[tid], func(p *machine.Proc) {
-			rng := sim.NewRNG(mcfg.Seed*1000003 + uint64(tid) + 1)
-			if cfg.PrivateWork > 0 {
-				p.Work(elementWork * sim.Time(rng.Intn(2*cfg.PrivateWork)))
-			}
-			for i := 0; i < cfg.Iterations; i++ {
-				if timed != nil {
-					for !timed.AcquireTimeout(p, tid, cfg.Timeout) {
-						aborts++
-						p.Delay(100)
-					}
-				} else {
-					l.Acquire(p, tid)
-				}
-				hc.record(p.Node())
-				totalAcquires++
-				for line := 0; line < csLines; line++ {
-					a := csVec + machine.Addr(line)
-					p.Store(a, p.Load(a)+1)
-					p.Work(elementWork * intsPerLine)
-				}
-				if rem := cfg.CriticalWork % intsPerLine; rem > 0 {
-					p.Work(elementWork * sim.Time(rem))
-				}
-				l.Release(p, tid)
-				p.Work(elementWork * sim.Time(cfg.PrivateWork))
-				if cfg.PrivateWork > 0 {
-					p.Work(elementWork * sim.Time(rng.Intn(cfg.PrivateWork)))
-				}
-			}
-			finish[tid] = p.Now()
-		})
-	}
-	m.Run()
-
-	res := DegradedResult{
-		NewBenchResult: NewBenchResult{
-			Lock:         cfg.Lock,
-			Threads:      cfg.Threads,
-			CriticalWork: cfg.CriticalWork,
-			TotalTime:    m.Now(),
-			Traffic:      m.Stats(),
-			Lines:        m.LineStats(),
-			FinishTimes:  finish,
-		},
-		Acquisitions: totalAcquires,
-		Aborts:       aborts,
-		Faults:       m.FaultStats(),
-	}
-	if totalAcquires > 0 {
-		res.IterationTime = m.Now() / sim.Time(totalAcquires)
-	}
-	res.HandoffRatio = hc.Ratio()
-	return res
+	cfg.Machine.Fault = cfg.Fault
+	return runBench(cfg.NewBenchConfig, cfg.Timeout)
 }

@@ -56,6 +56,14 @@ const (
 
 // NewBench runs the paper's new microbenchmark.
 func NewBench(cfg NewBenchConfig) NewBenchResult {
+	return runBench(cfg, 0).NewBenchResult
+}
+
+// runBench is the one benchmark loop behind NewBench and DegradedBench.
+// A positive timeout on a lock that implements simlock.TimedLock makes
+// every acquire an AcquireTimeout retried until it succeeds; otherwise
+// the acquire blocks.
+func runBench(cfg NewBenchConfig, timeout sim.Time) DegradedResult {
 	m := machine.New(cfg.Machine)
 	cpus := Placement(cfg.Machine, cfg.Threads)
 	w0 := m.AllocatedWords()
@@ -65,6 +73,10 @@ func NewBench(cfg NewBenchConfig) NewBenchResult {
 	}
 	if cfg.WrapLock != nil {
 		l = cfg.WrapLock(l)
+	}
+	var timed simlock.TimedLock
+	if timeout > 0 {
+		timed, _ = l.(simlock.TimedLock)
 	}
 
 	// Shared critical-section vector: one simulated line per
@@ -81,6 +93,7 @@ func NewBench(cfg NewBenchConfig) NewBenchResult {
 	hc := newHandoffCounter()
 	finish := make([]sim.Time, cfg.Threads)
 	totalAcquires := 0
+	aborts := 0
 
 	for tid := 0; tid < cfg.Threads; tid++ {
 		tid := tid
@@ -93,7 +106,14 @@ func NewBench(cfg NewBenchConfig) NewBenchResult {
 				p.Work(elementWork * sim.Time(rng.Intn(2*cfg.PrivateWork)))
 			}
 			for i := 0; i < cfg.Iterations; i++ {
-				l.Acquire(p, tid)
+				if timed != nil {
+					for !timed.AcquireTimeout(p, tid, timeout) {
+						aborts++
+						p.Delay(100)
+					}
+				} else {
+					l.Acquire(p, tid)
+				}
 				hc.record(p.Node())
 				totalAcquires++
 				// for (j = 0; j < critical_work; j++) cs_work[j]++;
@@ -118,14 +138,19 @@ func NewBench(cfg NewBenchConfig) NewBenchResult {
 	}
 	m.Run()
 
-	res := NewBenchResult{
-		Lock:         cfg.Lock,
-		Threads:      cfg.Threads,
-		CriticalWork: cfg.CriticalWork,
-		TotalTime:    m.Now(),
-		Traffic:      m.Stats(),
-		Lines:        m.LineStats(),
-		FinishTimes:  finish,
+	res := DegradedResult{
+		NewBenchResult: NewBenchResult{
+			Lock:         cfg.Lock,
+			Threads:      cfg.Threads,
+			CriticalWork: cfg.CriticalWork,
+			TotalTime:    m.Now(),
+			Traffic:      m.Stats(),
+			Lines:        m.LineStats(),
+			FinishTimes:  finish,
+		},
+		Acquisitions: totalAcquires,
+		Aborts:       aborts,
+		Faults:       m.FaultStats(),
 	}
 	if totalAcquires > 0 {
 		res.IterationTime = m.Now() / sim.Time(totalAcquires)
