@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/par"
@@ -40,11 +39,6 @@ type Options struct {
 	// any value produces byte-identical tables and JSON reports; only
 	// wall-clock time changes.
 	SimWorkers int
-}
-
-// DefaultOptions returns the settings used for the recorded results.
-func DefaultOptions() Options {
-	return Options{Seeds: 3, Scale: 100}
 }
 
 func (o Options) seeds() int {
@@ -177,15 +171,4 @@ func fmtNS(ns float64) string { return fmt.Sprintf("%.0f ns", ns) }
 func meanVar(xs []float64) string {
 	s := stats.Summarize(xs)
 	return fmt.Sprintf("%.2f (%.2f)", s.Mean, s.Variance)
-}
-
-// sortedKeys returns the sorted keys of a string-keyed map (stable table
-// rendering for map-accumulated results).
-func sortedKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -47,11 +47,6 @@ type walRecord struct {
 	ExpiryUnixNS int64  `json:"expiry_unix_ns,omitempty"`
 }
 
-// encodeFrame renders rec as one appendable frame.
-func encodeFrame(rec walRecord) ([]byte, error) {
-	return appendFrame(nil, &rec)
-}
-
 // appendFrame appends rec's frame to dst, reusing dst's capacity. The
 // append path runs this on every acked operation, so the payload is
 // rendered by a hand-rolled JSON emitter instead of json.Marshal —

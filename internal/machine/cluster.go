@@ -184,14 +184,6 @@ func (r ClusterResult) GlobalPerAcquire() float64 {
 	return float64(r.Global) / float64(r.Acquires)
 }
 
-// Throughput returns completed acquires per simulated second.
-func (r ClusterResult) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Acquires) / r.Elapsed.Seconds()
-}
-
 // Fairness returns min/max completed acquires across nodes (1 = fully
 // fair, 0 = some node starved), the cluster-scale analogue of Fig 8.
 func (r ClusterResult) Fairness() float64 {
