@@ -153,6 +153,12 @@ func main() {
 		logFile = f
 	}
 
+	// Catch signals before anything can be reached: a SIGTERM sent while
+	// the WAL replays, or right after the first answer, must still drain
+	// below instead of taking the default disposition.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	// Bring the listener up before replaying durable state so that
 	// clients arriving mid-boot see 503 recovering (a retryable NACK
 	// with a Retry-After hint) rather than connection refused. The
@@ -240,8 +246,6 @@ func main() {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		// Graceful drain: refuse new lease traffic, let in-flight
