@@ -202,13 +202,33 @@ func (r ClusterResult) Fairness() float64 {
 	return float64(min) / float64(max)
 }
 
-// clusterCPU is one contending CPU's state machine; all of its events
-// run on its node's partition.
+// clusterCPU is one contending CPU's state machine as its own node sees
+// it; all of these events run on the node's partition.
 type clusterCPU struct {
 	node     int
 	id       int // cpu index within the node
 	attempts int // consecutive failed probes (backoff exponent)
 	done     int // completed acquire/release pairs
+
+	// Steps of the state machine, bound once at construction: scheduling
+	// one allocates nothing.
+	attempt, held func()
+	decide        func() // the probe's, for attempt to send home
+}
+
+// clusterProbe is the home directory's side of one CPU's probe: what
+// decide (home partition) must know of the requester, and the three
+// replies it can send back. The verdict travels as the choice of reply,
+// inside the message, so the requester's partition reads nothing the home
+// has written and the home, which fires a third of all events, reads
+// nothing the requester writes: a probe crosses between two cores' caches
+// in the outboxes and nowhere else.
+type clusterProbe struct {
+	node  int // the requester's node
+	owner int // the requester as clusterLock.owner encodes it
+	// Requester-partition events: the probe won, lost to a holder on the
+	// requester's own node, lost to a holder on another.
+	granted, deniedNear, deniedFar func()
 }
 
 // clusterNode is one partition's state: its CPUs, RNG stream and stats.
@@ -256,6 +276,12 @@ func RunCluster(cfg ClusterConfig, workers int) ClusterResult {
 	}
 	lock := &clusterLock{owner: -1, ownerNode: -1}
 	unit := cfg.backoffUnit()
+	localHalf := cfg.Lat.C2CLocal/2 + 1
+	// toHome[i] is the one-way flight between node i and the lock home.
+	toHome := make([]sim.Time, cfg.Nodes)
+	for i := range toHome {
+		toHome[i] = cfg.flight(i, home)
+	}
 
 	// The state machine below runs entirely in event context. Requests,
 	// replies and releases between a CPU's node and the lock home are
@@ -263,74 +289,32 @@ func RunCluster(cfg ClusterConfig, workers int) ClusterResult {
 	// interconnect crossing) and plain intra-partition events when the
 	// CPU lives on the home node — the cluster-scale analogue of the
 	// local/global transaction split in Stats.
-	var (
-		attempt func(n *clusterNode, c *clusterCPU)
-		granted func(n *clusterNode, c *clusterCPU)
-		denied  func(n *clusterNode, c *clusterCPU, holderNode int)
-	)
-	localHalf := cfg.Lat.C2CLocal/2 + 1
-	decide := func(c *clusterCPU) { // runs on the home partition
-		h := nodes[home]
-		requester := nodes[c.node]
-		grant := lock.owner < 0
-		holderNode := lock.ownerNode
-		if grant {
-			lock.owner = c.node*cfg.CPUsPerNode + c.id
-			lock.ownerNode = c.node
-		}
-		reply := func() {
-			if grant {
-				granted(requester, c)
-			} else {
-				denied(requester, c, holderNode)
-			}
-		}
-		if c.node == home {
-			// Local probe: the reply is the second half of the local
-			// round trip.
-			h.part.Schedule(localHalf, reply)
-		} else {
-			h.st.GlobalMsgs++
-			h.part.Send(c.node, cfg.flight(home, c.node), reply)
-		}
-	}
 	release := func() { // runs on the home partition
 		lock.owner = -1
 		lock.ownerNode = -1
 	}
 	think := func(n *clusterNode, c *clusterCPU) {
-		n.part.Schedule(1+n.rng.Exp(cfg.Think+1), func() { attempt(n, c) })
+		n.part.Schedule(1+n.rng.Exp(cfg.Think+1), c.attempt)
 	}
-	attempt = func(n *clusterNode, c *clusterCPU) {
-		n.st.Attempts++
+	// toHomePart carries fn from c's node to the home directory.
+	toHomePart := func(n *clusterNode, c *clusterCPU, fn func()) {
 		if c.node == home {
-			n.part.Schedule(localHalf, func() { decide(c) })
+			n.part.Schedule(localHalf, fn)
 			return
 		}
 		n.st.GlobalMsgs++
-		n.part.Send(home, cfg.flight(c.node, home), func() { decide(c) })
+		n.part.Send(home, toHome[c.node], fn)
 	}
-	granted = func(n *clusterNode, c *clusterCPU) { // requester partition
+	granted := func(n *clusterNode, c *clusterCPU) { // requester partition
 		n.st.Acquires++
 		c.attempts = 0
 		c.done++
-		// Hold the critical section, then hand the release back to the
+		// Hold the critical section; held hands the release back to the
 		// home directory.
-		n.part.Schedule(cfg.Hold+1, func() {
-			if c.node == home {
-				n.part.Schedule(localHalf, release)
-			} else {
-				n.st.GlobalMsgs++
-				n.part.Send(home, cfg.flight(c.node, home), release)
-			}
-			if cfg.Iters < 1 || c.done < cfg.Iters {
-				think(n, c)
-			}
-		})
+		n.part.Schedule(cfg.Hold+1, c.held)
 	}
-	denied = func(n *clusterNode, c *clusterCPU, holderNode int) { // requester partition
+	denied := func(n *clusterNode, c *clusterCPU, remote bool) { // requester partition
 		n.st.Denies++
-		remote := holderNode >= 0 && holderNode != c.node
 		if remote {
 			n.st.RemoteDenies++
 		}
@@ -350,11 +334,49 @@ func RunCluster(cfg ClusterConfig, workers int) ClusterResult {
 		span := sim.Time(units) * unit
 		delay := span/2 + 1 + n.rng.Timen(span/2+1)
 		n.st.BackoffTime += delay
-		n.part.Schedule(delay, func() { attempt(n, c) })
+		n.part.Schedule(delay, c.attempt)
 	}
+	h := nodes[home]
+	probes := make([]clusterProbe, cfg.Nodes*cfg.CPUsPerNode)
 	for _, n := range nodes {
 		for i := range n.cpus {
-			think(n, &n.cpus[i])
+			c := &n.cpus[i]
+			pr := &probes[c.node*cfg.CPUsPerNode+c.id]
+			pr.node, pr.owner = c.node, c.node*cfg.CPUsPerNode+c.id
+			pr.granted = func() { granted(n, c) }
+			pr.deniedNear = func() { denied(n, c, false) }
+			pr.deniedFar = func() { denied(n, c, true) }
+			c.attempt = func() {
+				n.st.Attempts++
+				toHomePart(n, c, c.decide)
+			}
+			c.decide = func() { // runs on the home partition
+				reply := pr.granted
+				switch {
+				case lock.owner < 0:
+					lock.owner = pr.owner
+					lock.ownerNode = pr.node
+				case lock.ownerNode != pr.node:
+					reply = pr.deniedFar
+				default:
+					reply = pr.deniedNear
+				}
+				if pr.node == home {
+					// Local probe: the reply is the second half of the
+					// local round trip.
+					h.part.Schedule(localHalf, reply)
+				} else {
+					h.st.GlobalMsgs++
+					h.part.Send(pr.node, toHome[pr.node], reply)
+				}
+			}
+			c.held = func() {
+				toHomePart(n, c, release)
+				if cfg.Iters < 1 || c.done < cfg.Iters {
+					think(n, c)
+				}
+			}
+			think(n, c)
 		}
 	}
 	eng.Run()

@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -50,29 +51,60 @@ import (
 // Msg is a cross-partition event in flight: fn will execute on the
 // destination partition at the given absolute time.
 type msg struct {
-	at     Time
-	src    int
-	srcSeq uint64
-	dst    int
-	fn     func()
+	at  Time
+	dst int
+	fn  func()
 }
 
 // ParEngine is a conservative parallel discrete-event simulator over a
 // fixed set of partitions. Construct with NewParEngine, obtain the
 // partition handles with Part, schedule initial events, then call Run.
 type ParEngine struct {
+	// Fixed at construction (mailCap: before Run); event code reads these.
 	parts     []*Part
+	spans     []span
+	spanLen   int // partitions in a span (the last may have fewer)
 	workers   int
 	lookahead Time
-	now       Time // committed lower bound (start of the current window)
-	limit     Time // 0 = no limit
-	limited   bool
-	stopped   atomic.Bool
-	killed    bool
 	mailCap   int
+	killed    bool
 
-	// inbox is the barrier-phase merge buffer, reused across windows.
-	inbox []msg
+	now     Time // committed lower bound (start of the current window)
+	limit   Time // 0 = no limit
+	limited bool
+	stopped atomic.Bool
+
+	// The shared phase (see runWindow). end and delivering are written by
+	// Run's goroutine while no worker has anything to claim and read by a
+	// worker only after it has claimed; left counts the spans not yet done.
+	ws         []worker // [0] is Run's own goroutine; empty when Run has no helper
+	helpers    sync.WaitGroup
+	end        Time // exclusive bound of the window
+	delivering bool // the open phase is deliver, not run
+	left       atomic.Int64
+	failMu     sync.Mutex
+	fail       *partPanic
+}
+
+// A span is a run of consecutive partitions: what a worker claims at a
+// time, in the run phase to fire their events and in the deliver phase to
+// fill their heaps. Whoever claims a span works through it alone and in id
+// order, which is what keeps out in a deterministic order and every field
+// here free of locks.
+type span struct {
+	id    int
+	parts []*Part
+	// next[i] is when parts[i]'s earliest queued event is due (maxTime:
+	// none), kept by whoever last changed that heap, so nobody has to go
+	// through the partitions to find the active ones or the next window;
+	// min is the least of them after the span's last delivery.
+	next []Time
+	min  Time
+	// out[j] is what the span's partitions sent to span j's in the window
+	// just run, in (source partition, emission) order. The sender appends;
+	// span j's deliverer reads it and the others'; the sender empties it
+	// at the start of its next run.
+	out [][]msg
 }
 
 // DefaultMailboxCap bounds how many cross-partition messages a single
@@ -81,6 +113,18 @@ type ParEngine struct {
 // faster than simulated time advances) instead of letting the merge
 // buffer grow without limit.
 const DefaultMailboxCap = 1 << 20
+
+// spanMin is the least number of partitions worth a claim: a cluster
+// window holds two or three events a partition, so an atomic operation per
+// partition costs as much as the partition. spansPerWorker is how finely
+// the partitions are cut beyond that: enough spans that a worker stuck
+// with a hot partition can leave the rest of its share to the others, few
+// enough that delivery, which looks at spans squared outboxes a window,
+// stays cheap.
+const (
+	spanMin        = 8
+	spansPerWorker = 4
+)
 
 // NewParEngine returns a parallel engine with parts partitions executed
 // by up to workers OS-level workers. lookahead is the minimum simulated
@@ -99,9 +143,24 @@ func NewParEngine(parts, workers int, lookahead Time) *ParEngine {
 		workers = 1
 	}
 	d := &ParEngine{workers: workers, lookahead: lookahead, mailCap: DefaultMailboxCap}
+	// One span for one worker: nothing to share, one outbox to deliver.
+	spans := 1
+	if workers > 1 {
+		spans = max(1, min(parts/spanMin, workers*spansPerWorker))
+	}
+	d.spanLen = (parts + spans - 1) / spans
 	d.parts = make([]*Part, parts)
-	for i := range d.parts {
-		d.parts[i] = &Part{d: d, id: i, q: Engine{events: *heapPool.Get().(*eventHeap)}}
+	next := make([]Time, parts)
+	for lo := 0; lo < parts; lo += d.spanLen {
+		hi := min(lo+d.spanLen, parts)
+		d.spans = append(d.spans, span{id: len(d.spans), parts: d.parts[lo:hi], next: next[lo:hi]})
+	}
+	for i := range d.spans {
+		s := &d.spans[i]
+		s.out = make([][]msg, len(d.spans))
+		for j := range s.parts {
+			s.parts[j] = &Part{d: d, s: s, id: i*d.spanLen + j, q: Engine{events: *heapPool.Get().(*eventHeap)}}
+		}
 	}
 	return d
 }
@@ -207,21 +266,43 @@ type partPanic struct {
 // Run executes windows until no events remain, Stop is called, or every
 // remaining event lies past the time limit. It must be called from the
 // goroutine that constructed the engine. A panic inside event code is
-// re-raised on this goroutine (lowest partition id first).
+// re-raised on this goroutine (lowest partition id first). Helper
+// goroutines live only inside Run: started here, stopped and waited for
+// on every way out.
 func (d *ParEngine) Run() {
 	if d.killed {
 		panic("sim: Run after Shutdown (the engine cannot be reused)")
 	}
-	active := make([]*Part, 0, len(d.parts))
-	for !d.stopped.Load() {
-		// Find the window start: the earliest queued event anywhere.
-		first := Time(-1)
-		for _, p := range d.parts {
-			if len(p.q.events) > 0 && (first < 0 || p.q.events[0].at < first) {
-				first = p.q.events[0].at
-			}
+	// A helper with no CPU of its own can only take one from Run's
+	// goroutine, and one with no span of its own only steals.
+	if n := min(d.workers, runtime.GOMAXPROCS(0), len(d.spans)); n > 1 {
+		d.startHelpers(n - 1)
+		defer d.stopHelpers()
+	}
+	// What was scheduled and sent from outside Run is not in next or the
+	// heaps yet; what the last window sent is delivered and must not be
+	// again when Run is called once more.
+	defer func() {
+		for i := range d.spans {
+			d.spans[i].emptyOut()
 		}
-		if first < 0 {
+	}()
+	for i := range d.spans {
+		s := &d.spans[i]
+		for j, p := range s.parts {
+			s.next[j] = p.head()
+		}
+	}
+	for i := range d.spans {
+		d.deliver(&d.spans[i])
+	}
+	for !d.stopped.Load() {
+		// The window starts at the earliest queued event anywhere.
+		first := maxTime
+		for i := range d.spans {
+			first = min(first, d.spans[i].min)
+		}
+		if first == maxTime {
 			return // drained
 		}
 		if first < d.now {
@@ -233,102 +314,270 @@ func (d *ParEngine) Run() {
 			return
 		}
 		d.now = first
-		end := first + d.lookahead
-		if d.limit > 0 && end > d.limit+1 {
+		d.end = first + d.lookahead
+		if d.limit > 0 && d.end > d.limit+1 {
 			// Clamp so no event past the limit executes; events at
 			// exactly the limit still do, matching Engine semantics.
-			end = d.limit + 1
+			d.end = d.limit + 1
 		}
-		active = active[:0]
-		for _, p := range d.parts {
-			if len(p.q.events) > 0 && p.q.events[0].at < end {
-				active = append(active, p)
-			}
-		}
-		d.runWindow(active, end)
-		d.deliver()
+		d.runWindow()
 	}
 }
 
-// runWindow executes every active partition's sub-window, fanning over
-// the worker pool when it pays.
-func (d *ParEngine) runWindow(active []*Part, end Time) {
-	w := d.workers
-	if w > len(active) {
-		w = len(active)
+// spinBudget is how many times an idle worker polls before it parks: long
+// enough to spin through the gap between two phases, short enough that a
+// worker spinning on a CPU someone else needs gives it up within tens of
+// microseconds.
+const spinBudget = 1 << 14
+
+// A worker is one participant of a shared window: Run's own goroutine
+// (ParEngine.ws[0]) or a helper. Worker k of n starts every phase on
+// spans [k*spans/n, (k+1)*spans/n), so that it runs the partitions it ran
+// last window and fills the heaps it will pop, and their memory stays in
+// one core's cache. That share is a preference, not a duty: what a worker
+// has not claimed, another may. Each worker sits on its own cache line;
+// it polls and claims from its own word, and only a thief or Run's next
+// phase touches another's.
+type worker struct {
+	// work is the unclaimed part [lo, hi) of this worker's share of the
+	// spans, lo in the high half; quitWork tells a helper to exit. The
+	// owner claims from the front and thieves from the back, so what a
+	// worker loses to a thief in one window it mostly loses in the next.
+	work   atomic.Uint64
+	parked atomic.Bool   // set while the worker may be blocked on wake
+	wake   chan struct{} // buffered(1): a token is never lost, a stale one costs one more poll
+	_      [40]byte
+}
+
+const quitWork = ^uint64(0) // lo == hi: nothing to claim
+
+// take claims one span of the share, the last one for a thief. A claim
+// that succeeds is a claim on the phase now open, even if the claimant
+// last looked during an earlier one: Run republishes a word only when
+// every share is empty and every claimed span done, so the caller must
+// read the phase's data after take, not before.
+func (w *worker) take(thief bool) (span int, ok bool) {
+	for {
+		old := w.work.Load()
+		lo, hi := int(old>>32), int(uint32(old))
+		if lo >= hi {
+			return 0, false
+		}
+		if thief {
+			if w.work.CompareAndSwap(old, old-1) {
+				return hi - 1, true
+			}
+		} else if w.work.CompareAndSwap(old, old+1<<32) {
+			return lo, true
+		}
 	}
-	if w <= 1 {
-		for _, p := range active {
-			p.q.runUntil(end)
+}
+
+// rouse unparks the worker if it is parked (or about to: it sets parked
+// and then looks once more before blocking).
+func (w *worker) rouse() {
+	if w.parked.Load() {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// await polls ready for spinBudget rounds and then parks until a rouse,
+// as often as it takes for ready to hold.
+func (w *worker) await(ready func() bool) {
+	for {
+		for i := 0; i < spinBudget; i++ {
+			if ready() {
+				return
+			}
+		}
+		w.parked.Store(true)
+		if !ready() {
+			<-w.wake
+		}
+		w.parked.Store(false)
+	}
+}
+
+func (d *ParEngine) startHelpers(n int) {
+	d.ws = make([]worker, n+1)
+	for k := range d.ws {
+		d.ws[k].wake = make(chan struct{}, 1)
+	}
+	d.helpers.Add(n)
+	for k := 1; k <= n; k++ {
+		go d.help(k)
+	}
+}
+
+// stopHelpers runs with no phase open: every helper is polling or parked.
+func (d *ParEngine) stopHelpers() {
+	for k := 1; k < len(d.ws); k++ {
+		d.ws[k].work.Store(quitWork)
+		d.ws[k].rouse()
+	}
+	d.helpers.Wait()
+	d.ws = nil
+}
+
+// help is helper k's life: wait for its share to fill, work, repeat.
+func (d *ParEngine) help(k int) {
+	defer d.helpers.Done()
+	me := &d.ws[k]
+	for {
+		var w uint64
+		me.await(func() bool {
+			w = me.work.Load()
+			return w == quitWork || uint32(w>>32) < uint32(w)
+		})
+		if w == quitWork {
+			return
+		}
+		d.work(k)
+	}
+}
+
+// work is worker k's part in the open phase: its own share from the
+// front, then what is left of the others' from the back.
+func (d *ParEngine) work(k int) {
+	did := 0
+	for i := range d.ws {
+		w := &d.ws[(k+i)%len(d.ws)]
+		for {
+			j, ok := w.take(i > 0)
+			if !ok {
+				break
+			}
+			if s := &d.spans[j]; d.delivering {
+				d.deliver(s)
+			} else {
+				d.runSpan(s)
+			}
+			did++
+		}
+	}
+	if did > 0 && d.left.Add(int64(-did)) == 0 && k > 0 {
+		d.ws[0].rouse()
+	}
+}
+
+// runWindow executes the window [now, end) and delivers what it sent. A
+// window with events in two spans or more is shared, if there are helpers,
+// in two phases with a barrier after each: run, then deliver, each span an
+// item of both. Nobody is waited for before a phase starts and nobody need
+// turn up: a phase is over when its spans are done, Run's goroutine works
+// through its own share and then everybody else's, and a helper that the
+// OS has taken off its CPU finds its share empty when it comes back. What
+// is waited for is a claimed span.
+func (d *ParEngine) runWindow() {
+	busy := 0
+	for i := range d.spans {
+		if d.spans[i].min < d.end {
+			busy++
+		}
+	}
+	if busy < 2 || len(d.ws) == 0 {
+		for i := range d.spans {
+			d.spans[i].run(new(int), d.end)
+		}
+		for i := range d.spans {
+			d.deliver(&d.spans[i])
 		}
 		return
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail *partPanic
-	)
-	next.Store(-1)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(active) {
-					return
+	d.delivering = false
+	d.phase()
+	if f := d.fail; f != nil {
+		d.fail = nil
+		panic(f.value)
+	}
+	d.delivering = true
+	d.phase()
+}
+
+// phase gives each worker its share of the spans, works, and returns when
+// all of them are done.
+func (d *ParEngine) phase() {
+	n := len(d.spans)
+	d.left.Store(int64(n))
+	for k := len(d.ws) - 1; k >= 0; k-- {
+		w := &d.ws[k]
+		w.work.Store(uint64(k*n/len(d.ws))<<32 | uint64((k+1)*n/len(d.ws)))
+		if k > 0 {
+			w.rouse()
+		}
+	}
+	d.work(0)
+	d.ws[0].await(func() bool { return d.left.Load() == 0 })
+}
+
+// emptyOut forgets what the span sent: it has been delivered.
+func (s *span) emptyOut() {
+	for j := range s.out {
+		s.out[j] = s.out[j][:0]
+	}
+}
+
+// run fires the events before end of the span's partitions from *i on,
+// leaving in *i the partition it is at.
+func (s *span) run(i *int, end Time) {
+	if *i == 0 {
+		s.emptyOut()
+	}
+	for ; *i < len(s.parts); *i++ {
+		if s.next[*i] < end {
+			p := s.parts[*i]
+			p.sent = 0
+			p.q.runUntil(end)
+			s.next[*i] = p.head()
+		}
+	}
+}
+
+// runSpan is run for a shared window: an event's panic is recorded, the
+// lowest partition id winning, and the partitions after it still run, so
+// that what Run re-raises does not depend on who ran what when.
+func (d *ParEngine) runSpan(s *span) {
+	for i := 0; i < len(s.parts); i++ { // i++: past the partition that panicked
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					d.failMu.Lock()
+					if id := s.parts[i].id; d.fail == nil || id < d.fail.part {
+						d.fail = &partPanic{part: id, value: r}
+					}
+					d.failMu.Unlock()
 				}
-				p := active[i]
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if fail == nil || p.id < fail.part {
-								fail = &partPanic{part: p.id, value: r}
-							}
-							mu.Unlock()
-						}
-					}()
-					p.q.runUntil(end)
-				}()
-			}
+			}()
+			s.run(&i, d.end)
 		}()
 	}
-	wg.Wait()
-	if fail != nil {
-		panic(fail.value)
-	}
 }
 
-// deliver merges every partition's outbox into the destination heaps in
-// a deterministic order: (timestamp, source partition, source sequence).
-// Runs single-threaded between windows.
-func (d *ParEngine) deliver() {
-	d.inbox = d.inbox[:0]
-	for _, p := range d.parts {
-		d.inbox = append(d.inbox, p.outbox...)
-		p.outbox = p.outbox[:0]
-	}
-	if len(d.inbox) == 0 {
-		return
-	}
-	sort.Slice(d.inbox, func(i, j int) bool {
-		a, b := d.inbox[i], d.inbox[j]
-		if a.at != b.at {
-			return a.at < b.at
+// deliver moves what every span sent to span to's partitions into their
+// heaps: source spans in order, each outbox in the order it was filled,
+// which is (source partition, emission) order. No sort is needed. The
+// destination Engine numbers arrivals as they are scheduled, so two
+// messages due at the same time fire in (source partition, emission)
+// order by the heap's own (at, pri, seq) key, and messages due at
+// different times are ordered by at. A span is delivered to by one caller,
+// whoever that is, so the order does not depend on the width.
+func (d *ParEngine) deliver(to *span) {
+	for i := range d.spans {
+		out := d.spans[i].out[to.id]
+		for k := range out {
+			m := &out[k]
+			q := &d.parts[m.dst].q
+			q.Schedule(m.at-q.now, m.fn)
+			m.fn = nil // don't pin the closure in the reused buffer
+			if j := m.dst - to.id*d.spanLen; m.at < to.next[j] {
+				to.next[j] = m.at
+			}
 		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.srcSeq < b.srcSeq
-	})
-	for i := range d.inbox {
-		m := &d.inbox[i]
-		q := &d.parts[m.dst].q
-		q.Schedule(m.at-q.now, m.fn)
-		m.fn = nil // don't pin the closure in the reused buffer
 	}
+	to.min = slices.Min(to.next)
 }
 
 // Shutdown releases every partition's event storage back to the heap
@@ -341,9 +590,10 @@ func (d *ParEngine) Shutdown() {
 	d.stopped.Store(true)
 	for _, p := range d.parts {
 		p.q.Shutdown()
-		p.outbox = nil
 	}
-	d.inbox = nil
+	for i := range d.spans {
+		d.spans[i].out = nil
+	}
 }
 
 // A Part is one partition (logical process) of a ParEngine: an
@@ -353,10 +603,11 @@ func (d *ParEngine) Shutdown() {
 // model state without locking, and must touch nothing owned by another
 // partition — use Send for cross-partition effects.
 type Part struct {
-	d      *ParEngine
-	id     int
-	q      Engine // the partition's clock, heap, sequence and tie-break stream
-	outbox []msg
+	d    *ParEngine
+	s    *span
+	id   int
+	q    Engine // the partition's clock, heap, sequence and tie-break stream
+	sent int    // messages sent in the window being run
 }
 
 // ID returns the partition index.
@@ -369,6 +620,14 @@ func (p *Part) Engine() *ParEngine { return p.d }
 // window may disagree by less than one lookahead; that skew is the
 // parallelism.
 func (p *Part) Now() Time { return p.q.now }
+
+// head is when the partition's earliest queued event is due.
+func (p *Part) head() Time {
+	if len(p.q.events) == 0 {
+		return maxTime
+	}
+	return p.q.events[0].at
+}
 
 // Schedule runs fn on this partition at now+delay. Intra-partition
 // events never synchronize with other partitions. Scheduling in the
@@ -391,11 +650,12 @@ func (p *Part) Send(dst int, delay Time, fn func()) {
 	if p.d.killed {
 		panic("sim: Send after Shutdown (the engine cannot be reused)")
 	}
-	if len(p.outbox) >= p.d.mailCap {
+	if p.sent >= p.d.mailCap {
 		panic(fmt.Sprintf("sim: partition %d exceeded its mailbox cap (%d messages in one window)", p.id, p.d.mailCap))
 	}
-	p.q.seq++
-	p.outbox = append(p.outbox, msg{at: p.q.now + delay, src: p.id, srcSeq: p.q.seq, dst: dst, fn: fn})
+	p.sent++
+	out := &p.s.out[dst/p.d.spanLen]
+	*out = append(*out, msg{at: p.q.now + delay, dst: dst, fn: fn})
 }
 
 // Pending returns the number of events queued on this partition.

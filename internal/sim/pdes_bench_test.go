@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -66,6 +67,35 @@ func BenchmarkParEnginePHOLD(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parts=64/workers=%d", w), func(b *testing.B) {
 			benchPHOLD(b, 64, w, 4, 100_000)
+		})
+	}
+}
+
+// BenchmarkParEngineBarrier measures one barrier and little else: 64
+// partitions, one local event per partition per window, no sends, so an
+// op is a window. The width-1 row is what the window loop costs with no
+// helper; the gap to the wider row is what sharing a window costs when
+// there is nothing in it to win back.
+func BenchmarkParEngineBarrier(b *testing.B) {
+	widths := []int{1}
+	if w := min(runtime.GOMAXPROCS(0), 4); w > 1 {
+		widths = append(widths, w)
+	}
+	for _, w := range widths {
+		b.Run(fmt.Sprintf("parts=64/workers=%d", w), func(b *testing.B) {
+			const parts, lookahead = 64, 50
+			d := NewParEngine(parts, w, lookahead)
+			d.SetLimit(Time(b.N) * lookahead)
+			for i := 0; i < parts; i++ {
+				p := d.Part(i)
+				var tick func()
+				tick = func() { p.Schedule(lookahead, tick) }
+				p.Schedule(0, tick)
+			}
+			b.ResetTimer()
+			d.Run()
+			b.StopTimer()
+			d.Shutdown()
 		})
 	}
 }
