@@ -2,7 +2,10 @@ package machine
 
 import (
 	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -38,20 +41,25 @@ func digest(t *testing.T, r ClusterResult) string {
 
 // TestClusterByteIdenticalAcrossWidths is the machine-level half of the
 // PDES determinism contract: one big machine, every worker width, one
-// answer.
+// answer. Sixteen nodes are one span of the engine and run on one
+// goroutine at any width; sixty-four are four, and share their windows.
 func TestClusterByteIdenticalAcrossWidths(t *testing.T) {
-	for _, policy := range []ClusterPolicy{ClusterTATASExp, ClusterHBO} {
-		var want string
-		for _, workers := range []int{1, 2, 4, 8} {
-			r := RunCluster(testClusterConfig(policy), workers)
-			r.Workers = 0 // workers is metadata, not simulation output
-			got := digest(t, r)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("policy=%s workers=%d diverged:\n got %s\nwant %s", policy, workers, got, want)
+	for _, nodes := range []int{16, 64} {
+		for _, policy := range []ClusterPolicy{ClusterTATASExp, ClusterHBO} {
+			cfg := testClusterConfig(policy)
+			cfg.Nodes = nodes
+			var want string
+			for _, workers := range []int{1, 2, 4, 8} {
+				r := RunCluster(cfg, workers)
+				r.Workers = 0 // workers is metadata, not simulation output
+				got := digest(t, r)
+				if want == "" {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Fatalf("nodes=%d policy=%s workers=%d diverged:\n got %s\nwant %s", nodes, policy, workers, got, want)
+				}
 			}
 		}
 	}
@@ -176,5 +184,57 @@ func TestLookaheadDerivation(t *testing.T) {
 	}
 	if cfg := WildFire(); cfg.Lookahead() != cfg.Lat.MinCrossNodeFlight() {
 		t.Fatal("Config.Lookahead does not delegate to the latency tree")
+	}
+}
+
+// TestClusterSteadyStateAllocs: the event path allocates nothing. What a
+// run allocates is its construction (engine, nodes, the CPUs' bound
+// closures) and the first growth of heaps and outboxes, so four times the
+// iterations cost the same allocations, not four times as many.
+func TestClusterSteadyStateAllocs(t *testing.T) {
+	allocs := func(iters int) float64 {
+		cfg := testClusterConfig(ClusterTATASExp)
+		cfg.Iters = iters
+		return testing.AllocsPerRun(5, func() { RunCluster(cfg, 1) })
+	}
+	one, four := allocs(1), allocs(4)
+	t.Logf("allocations per run: %.0f at Iters 1, %.0f at Iters 4", one, four)
+	if four > one*1.05 {
+		t.Fatalf("%.0f allocations at Iters 4, %.0f at Iters 1: the event path allocates", four, one)
+	}
+}
+
+// TestClusterWidthGuard is the parallel assertion that can run on a small
+// host: the 256-node uniform-backoff cell, the one the repo's benchmark
+// spends most of sim-cluster in, must not be slower on the host's worker
+// width than on one. A timing assertion, so gated like the speedup guard:
+//
+//	HBO_BENCH_SPEEDUP=1 go test -run TestClusterWidthGuard -v ./internal/machine/
+func TestClusterWidthGuard(t *testing.T) {
+	const claim = "RunCluster of the 256-node tatas_exp cell at min(GOMAXPROCS, 4) workers takes at most 1.10x its one-worker time"
+	if os.Getenv("HBO_BENCH_SPEEDUP") != "1" {
+		t.Skipf("set HBO_BENCH_SPEEDUP=1 to run the width guard; not asserted: %s", claim)
+	}
+	w := guardWidth()
+	if w < 2 {
+		t.Skipf("GOMAXPROCS is %d; the width guard needs >= 2; not asserted: %s", runtime.GOMAXPROCS(0), claim)
+	}
+	cfg := clu1Cell(ClusterTATASExp)
+	best := func(workers int) time.Duration {
+		var best time.Duration
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			RunCluster(cfg, workers)
+			if d := time.Since(start); i == 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	RunCluster(cfg, w) // warm the heap pool
+	one, wide := best(1), best(w)
+	t.Logf("workers=1 %v, workers=%d %v (%.2fx)", one, w, wide, float64(wide)/float64(one))
+	if float64(wide) > 1.10*float64(one) {
+		t.Fatalf("workers=%d took %v, %.2fx the %v of workers=1 (want <= 1.10x)", w, wide, float64(wide)/float64(one), one)
 	}
 }

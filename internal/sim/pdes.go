@@ -115,14 +115,14 @@ type span struct {
 const DefaultMailboxCap = 1 << 20
 
 // spanMin is the least number of partitions worth a claim: a cluster
-// window holds two or three events a partition, so an atomic operation per
-// partition costs as much as the partition. spansPerWorker is how finely
-// the partitions are cut beyond that: enough spans that a worker stuck
-// with a hot partition can leave the rest of its share to the others, few
-// enough that delivery, which looks at spans squared outboxes a window,
-// stays cheap.
+// window holds two or three events a partition, so a span much shorter
+// costs more to hand to another core than to run. spansPerWorker is how
+// finely the partitions are cut beyond that: enough spans that a worker
+// stuck with a hot partition can leave the rest of its share to the
+// others, few enough that delivery, which looks at spans squared outboxes
+// a window, stays cheap.
 const (
-	spanMin        = 8
+	spanMin        = 16
 	spansPerWorker = 4
 )
 
@@ -324,11 +324,12 @@ func (d *ParEngine) Run() {
 	}
 }
 
-// spinBudget is how many times an idle worker polls before it parks: long
-// enough to spin through the gap between two phases, short enough that a
-// worker spinning on a CPU someone else needs gives it up within tens of
-// microseconds.
-const spinBudget = 1 << 14
+// spinBudget is how many times an idle worker polls before it parks,
+// some 60 µs: about what it costs Run's goroutine to get a parked helper
+// back (the wake itself and the woken thread landing on the waker's CPU),
+// so that spinning never wastes more than parking would have, and a CPU
+// someone else needs is given up within that time.
+const spinBudget = 1 << 16
 
 // A worker is one participant of a shared window: Run's own goroutine
 // (ParEngine.ws[0]) or a helper. Worker k of n starts every phase on
@@ -487,25 +488,28 @@ func (d *ParEngine) runWindow() {
 		}
 		return
 	}
+	// A parked helper is worth its wake when the window is the rule, not
+	// two partitions that happen to lie in different spans.
+	rouse := 2*busy >= len(d.spans)
 	d.delivering = false
-	d.phase()
+	d.phase(rouse)
 	if f := d.fail; f != nil {
 		d.fail = nil
 		panic(f.value)
 	}
 	d.delivering = true
-	d.phase()
+	d.phase(rouse)
 }
 
 // phase gives each worker its share of the spans, works, and returns when
 // all of them are done.
-func (d *ParEngine) phase() {
+func (d *ParEngine) phase(rouse bool) {
 	n := len(d.spans)
 	d.left.Store(int64(n))
 	for k := len(d.ws) - 1; k >= 0; k-- {
 		w := &d.ws[k]
 		w.work.Store(uint64(k*n/len(d.ws))<<32 | uint64((k+1)*n/len(d.ws)))
-		if k > 0 {
+		if k > 0 && rouse {
 			w.rouse()
 		}
 	}

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pholdRun drives a PHOLD-style workload — the standard PDES benchmark
@@ -399,4 +402,186 @@ func TestOnePartitionParEngineMatchesEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParEngineDeliveryOrder pins the merge that delivery no longer sorts
+// for: messages to one destination fire in (arrival time, window sent in,
+// source partition, emission) order. Two of the three sources share a
+// span and the third and the destination have spans of their own, the
+// arrival times interleave and repeat within a source, across sources and
+// across the two windows the sources send in, and the order is the same at
+// every width. Perturbed, the order is whatever the seed says, but still
+// the same at every width.
+func TestParEngineDeliveryOrder(t *testing.T) {
+	const parts, dst, lookahead = 64, 20, 10
+	sources := []int{3, 5, 40}
+	type sent struct {
+		at   Time // arrival
+		wave int
+		src  int
+		seq  int // emission order within (wave, src)
+	}
+	// Each source sends the same arrival times in a different rotation,
+	// from events inside one window; the second wave, one window later,
+	// lands on the first wave's arrival times.
+	arrivals := []Time{1000, 1007, 1000, 1003, 1007, 1000}
+	var script []sent
+	for wave := 0; wave < 2; wave++ {
+		for k, src := range sources {
+			for i := range arrivals {
+				script = append(script, sent{arrivals[(i+2*k+wave)%len(arrivals)], wave, src, i})
+			}
+		}
+	}
+	run := func(workers int, perturb uint64) []sent {
+		d := NewParEngine(parts, workers, lookahead)
+		d.Perturb(perturb)
+		var got []sent
+		for _, m := range script {
+			p := d.Part(m.src)
+			// Emission i goes out at local time i of the wave's window;
+			// scheduling in script order keeps equal send times in order.
+			sendAt := Time(500*m.wave + m.seq)
+			p.Schedule(sendAt, func() {
+				p.Send(dst, m.at-sendAt, func() { got = append(got, m) })
+			})
+		}
+		d.Run()
+		d.Shutdown()
+		if len(got) != len(script) {
+			t.Fatalf("workers=%d: %d of %d messages fired", workers, len(got), len(script))
+		}
+		return got
+	}
+	want := slices.Clone(script)
+	slices.SortStableFunc(want, func(a, b sent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.wave, b.wave), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
+	})
+	for _, perturb := range []uint64{0, 9} {
+		ref := run(1, perturb)
+		if perturb == 0 && !slices.Equal(ref, want) {
+			t.Fatalf("FIFO fire order\n got %v\nwant %v", ref, want)
+		}
+		if perturb != 0 && slices.Equal(ref, want) {
+			t.Fatal("the perturbed order is the FIFO order: the seed reordered nothing")
+		}
+		for _, workers := range []int{2, 4, 8} {
+			if got := run(workers, perturb); !slices.Equal(got, ref) {
+				t.Fatalf("perturb=%d workers=%d:\n got %v\nwant %v", perturb, workers, got, ref)
+			}
+		}
+	}
+}
+
+// TestParEngineSharedWindows is the determinism contract where windows are
+// shared: enough partitions for several spans (16 make one), the last span
+// short in one case, against the width-1 history.
+func TestParEngineSharedWindows(t *testing.T) {
+	for _, parts := range []int{64, 100} {
+		for _, perturb := range []uint64{0, 7} {
+			want := pholdRun(t, parts, 1, 4, 50, perturb, 3_000)
+			for _, workers := range []int{2, 3, 8} {
+				if got := pholdRun(t, parts, workers, 4, 50, perturb, 3_000); got != want {
+					t.Fatalf("parts=%d perturb=%d workers=%d: digest %s != width-1 digest %s", parts, perturb, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestParEngineOversubscribed: more workers than GOMAXPROCS, down to one.
+// No helper may be needed for progress, and none changes the history.
+func TestParEngineOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := pholdRun(t, 64, 1, 4, 50, 0, 5_000)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := pholdRun(t, 64, 8, 4, 50, 0, 5_000); got != want {
+			t.Fatalf("GOMAXPROCS=%d workers=8: digest %s != width-1 digest %s", procs, got, want)
+		}
+	}
+}
+
+// TestParEngineHelpersExit: Run's helpers are gone when Run returns,
+// however it returns.
+func TestParEngineHelpersExit(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Log("GOMAXPROCS is 1: Run starts no helper, so this only checks that")
+	}
+	base := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		// Run has waited for every helper's Done, which is the last thing
+		// a helper does but not yet its exit: give a thread the OS has
+		// taken off its CPU right there the time to get back.
+		for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, %d before", when, n, base)
+		}
+	}
+	// ticking returns an engine with an event every 10 on every partition.
+	ticking := func(each func(p *Part)) *ParEngine {
+		d := NewParEngine(64, 4, 10)
+		for i := 0; i < 64; i++ {
+			p := d.Part(i)
+			var tick func()
+			tick = func() {
+				each(p)
+				if p.Now() < 1000 {
+					p.Schedule(10, tick)
+				}
+			}
+			p.Schedule(Time(i%10), tick)
+		}
+		return d
+	}
+
+	d := ticking(func(*Part) {})
+	d.Run()
+	settled("after Run drained")
+	d.Shutdown()
+
+	d = ticking(func(p *Part) {
+		if p.ID() == 40 && p.Now() > 300 {
+			d.Stop()
+		}
+	})
+	d.Run()
+	settled("after Stop")
+	if d.Pending() == 0 {
+		t.Fatal("Stop left nothing queued: the run drained instead")
+	}
+	d.Shutdown()
+
+	d = ticking(func(*Part) {})
+	d.SetLimit(400)
+	d.Run()
+	settled("after a limit stop")
+	d.SetLimit(0)
+	d.Run()
+	settled("after the re-armed Run")
+	if d.Pending() != 0 {
+		t.Fatalf("%d events left after the re-armed Run", d.Pending())
+	}
+	d.Shutdown()
+
+	d = ticking(func(p *Part) {
+		if p.Now() >= 300 && (p.ID() == 50 || p.ID() == 7) {
+			panic(p.ID())
+		}
+	})
+	func() {
+		defer func() {
+			// Partitions 7 and 50 fail in the same window, in different
+			// spans: the lower id is the one reported.
+			if r := recover(); r != 7 {
+				t.Fatalf("recovered %v, want 7", r)
+			}
+		}()
+		d.Run()
+	}()
+	settled("after an event panicked")
+	d.Shutdown()
 }
