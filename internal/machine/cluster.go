@@ -203,7 +203,8 @@ func (r ClusterResult) Fairness() float64 {
 }
 
 // clusterCPU is one contending CPU's state machine as its own node sees
-// it; all of these events run on the node's partition.
+// it; all of its events run on the node's partition except decide, which
+// the home's runs and which touches nothing here.
 type clusterCPU struct {
 	node     int
 	id       int // cpu index within the node
@@ -212,23 +213,7 @@ type clusterCPU struct {
 
 	// Steps of the state machine, bound once at construction: scheduling
 	// one allocates nothing.
-	attempt, held func()
-	decide        func() // the probe's, for attempt to send home
-}
-
-// clusterProbe is the home directory's side of one CPU's probe: what
-// decide (home partition) must know of the requester, and the three
-// replies it can send back. The verdict travels as the choice of reply,
-// inside the message, so the requester's partition reads nothing the home
-// has written and the home, which fires a third of all events, reads
-// nothing the requester writes: a probe crosses between two cores' caches
-// in the outboxes and nowhere else.
-type clusterProbe struct {
-	node  int // the requester's node
-	owner int // the requester as clusterLock.owner encodes it
-	// Requester-partition events: the probe won, lost to a holder on the
-	// requester's own node, lost to a holder on another.
-	granted, deniedNear, deniedFar func()
+	attempt, decide, held func()
 }
 
 // clusterNode is one partition's state: its CPUs, RNG stream and stats.
@@ -305,14 +290,8 @@ func RunCluster(cfg ClusterConfig, workers int) ClusterResult {
 		n.st.GlobalMsgs++
 		n.part.Send(home, toHome[c.node], fn)
 	}
-	granted := func(n *clusterNode, c *clusterCPU) { // requester partition
-		n.st.Acquires++
-		c.attempts = 0
-		c.done++
-		// Hold the critical section; held hands the release back to the
-		// home directory.
-		n.part.Schedule(cfg.Hold+1, c.held)
-	}
+	// denied backs the CPU off after a probe lost; remote says the holder
+	// was on another node.
 	denied := func(n *clusterNode, c *clusterCPU, remote bool) { // requester partition
 		n.st.Denies++
 		if remote {
@@ -337,37 +316,49 @@ func RunCluster(cfg ClusterConfig, workers int) ClusterResult {
 		n.part.Schedule(delay, c.attempt)
 	}
 	h := nodes[home]
-	probes := make([]clusterProbe, cfg.Nodes*cfg.CPUsPerNode)
 	for _, n := range nodes {
 		for i := range n.cpus {
 			c := &n.cpus[i]
-			pr := &probes[c.node*cfg.CPUsPerNode+c.id]
-			pr.node, pr.owner = c.node, c.node*cfg.CPUsPerNode+c.id
-			pr.granted = func() { granted(n, c) }
-			pr.deniedNear = func() { denied(n, c, false) }
-			pr.deniedFar = func() { denied(n, c, true) }
 			c.attempt = func() {
 				n.st.Attempts++
 				toHomePart(n, c, c.decide)
 			}
+			// The home's verdict travels as its choice among three replies,
+			// inside the message, and decide works from its own copy of
+			// what it must know of the requester: the requester's partition
+			// reads nothing the home has written and the home, which fires
+			// a third of all events, nothing the requester writes, so a
+			// probe crosses between two cores' caches in the outboxes and
+			// nowhere else.
+			node, owner := c.node, c.node*cfg.CPUsPerNode+c.id
+			won := func() { // requester partition, like the other two
+				n.st.Acquires++
+				c.attempts = 0
+				c.done++
+				// Hold the critical section; held hands the release back
+				// to the home directory.
+				n.part.Schedule(cfg.Hold+1, c.held)
+			}
+			lostNear := func() { denied(n, c, false) }
+			lostFar := func() { denied(n, c, true) }
 			c.decide = func() { // runs on the home partition
-				reply := pr.granted
+				reply := won
 				switch {
 				case lock.owner < 0:
-					lock.owner = pr.owner
-					lock.ownerNode = pr.node
-				case lock.ownerNode != pr.node:
-					reply = pr.deniedFar
+					lock.owner = owner
+					lock.ownerNode = node
+				case lock.ownerNode != node:
+					reply = lostFar
 				default:
-					reply = pr.deniedNear
+					reply = lostNear
 				}
-				if pr.node == home {
+				if node == home {
 					// Local probe: the reply is the second half of the
 					// local round trip.
 					h.part.Schedule(localHalf, reply)
 				} else {
 					h.st.GlobalMsgs++
-					h.part.Send(pr.node, toHome[pr.node], reply)
+					h.part.Send(node, toHome[node], reply)
 				}
 			}
 			c.held = func() {

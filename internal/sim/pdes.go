@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file implements conservative parallel discrete-event simulation
@@ -25,19 +26,28 @@ import (
 // including workers=1. Three mechanisms enforce it:
 //
 //  1. Partition-owned state. During a window a partition touches only
-//     its own Engine and outbox; the simulation model built on top must
-//     confine each partition's mutable state the same way
+//     its own Engine and its span's outboxes; the simulation model built
+//     on top must confine each partition's mutable state the same way
 //     (cross-partition effects go through Send).
 //  2. Barrier-phase delivery. Messages produced during a window are
-//     collected after all partitions finish, sorted by (timestamp,
-//     source partition, source sequence) and only then pushed into the
-//     destination heaps — arrival interleaving never leaks into event
-//     order.
+//     pushed into the destination heaps only after all partitions have
+//     finished it, delivered in partition order, emission order; the
+//     heap key does the merge. A destination numbers its arrivals as
+//     they are scheduled, so arrivals due at the same time fire in
+//     (source partition, emission) order and the rest in time order —
+//     arrival interleaving never leaks into event order, and nothing is
+//     sorted.
 //  3. Partition-stable tie-breaks. Each partition numbers its own
 //     events; perturbed runs (Perturb) derive one RNG stream per
 //     partition from an FNV-1a mix of (seed, partition), so the
 //     tie-break priority of an event never depends on which worker
-//     executed which partition first.
+//     executed which partition first. A delivered message draws its
+//     priority when it is delivered, so a window's arrivals at one
+//     partition draw in (source partition, emission) order: a pure
+//     function of (seed, partition) at every width. (Before the sort
+//     went they drew in (timestamp, source, emission) order, so a seed
+//     perturbs to a different schedule than it used to; nothing outside
+//     this package's tests perturbs a ParEngine.)
 //
 // A one-partition ParEngine therefore fires the same events in the same
 // order, at the same clock readings, as an Engine given the same schedule
@@ -47,6 +57,14 @@ import (
 // shared state (internal/machine's word-level coherence simulation);
 // ParEngine is for models whose state is partitioned, such as the
 // cluster-scale interconnect machine in internal/machine.
+//
+// The barrier is built so that a window costs its events and little else.
+// Partitions are grouped into spans of consecutive ids; a span is what a
+// worker claims, with one atomic operation, to run and later to deliver
+// to, and it keeps its partitions' next-event times where the next window
+// can be found without visiting them. Run's helpers are started once, wait
+// by a bounded spin and then park, and are never waited for: a phase is
+// over when its spans are done, whoever did them. See runWindow.
 
 // Msg is a cross-partition event in flight: fn will execute on the
 // destination partition at the given absolute time.
@@ -292,9 +310,7 @@ func (d *ParEngine) Run() {
 		for j, p := range s.parts {
 			s.next[j] = p.head()
 		}
-	}
-	for i := range d.spans {
-		d.deliver(&d.spans[i])
+		d.deliver(s)
 	}
 	for !d.stopped.Load() {
 		// The window starts at the earliest queued event anywhere.
@@ -324,12 +340,17 @@ func (d *ParEngine) Run() {
 	}
 }
 
-// spinBudget is how many times an idle worker polls before it parks,
-// some 60 µs: about what it costs Run's goroutine to get a parked helper
-// back (the wake itself and the woken thread landing on the waker's CPU),
-// so that spinning never wastes more than parking would have, and a CPU
-// someone else needs is given up within that time.
-const spinBudget = 1 << 16
+// spinBudget is how many times an idle worker polls before it parks, some
+// 60 µs: a CPU someone else needs is given up within that time. rouseGap
+// is the least time between two wakes of one helper by Run's goroutine. A
+// wake costs the waker some 6 µs, and up to 200 µs when the woken thread
+// lands on the waker's CPU and polls its budget away there (two threads on
+// one CPU is what a process looks like in its first second on the 2-CPU
+// host), so the gap keeps the worst case at a tenth of the run.
+const (
+	spinBudget = 1 << 16
+	rouseGap   = 2 * time.Millisecond
+)
 
 // A worker is one participant of a shared window: Run's own goroutine
 // (ParEngine.ws[0]) or a helper. Worker k of n starts every phase on
@@ -347,7 +368,8 @@ type worker struct {
 	work   atomic.Uint64
 	parked atomic.Bool   // set while the worker may be blocked on wake
 	wake   chan struct{} // buffered(1): a token is never lost, a stale one costs one more poll
-	_      [40]byte
+	roused time.Time     // when Run's goroutine last woke this helper
+	_      [16]byte
 }
 
 const quitWork = ^uint64(0) // lo == hi: nothing to claim
@@ -428,12 +450,11 @@ func (d *ParEngine) help(k int) {
 	defer d.helpers.Done()
 	me := &d.ws[k]
 	for {
-		var w uint64
 		me.await(func() bool {
-			w = me.work.Load()
+			w := me.work.Load()
 			return w == quitWork || uint32(w>>32) < uint32(w)
 		})
-		if w == quitWork {
+		if me.work.Load() == quitWork {
 			return
 		}
 		d.work(k)
@@ -481,6 +502,7 @@ func (d *ParEngine) runWindow() {
 	}
 	if busy < 2 || len(d.ws) == 0 {
 		for i := range d.spans {
+			d.spans[i].emptyOut()
 			d.spans[i].run(new(int), d.end)
 		}
 		for i := range d.spans {
@@ -488,28 +510,29 @@ func (d *ParEngine) runWindow() {
 		}
 		return
 	}
-	// A parked helper is worth its wake when the window is the rule, not
-	// two partitions that happen to lie in different spans.
-	rouse := 2*busy >= len(d.spans)
 	d.delivering = false
-	d.phase(rouse)
+	d.phase()
 	if f := d.fail; f != nil {
 		d.fail = nil
 		panic(f.value)
 	}
 	d.delivering = true
-	d.phase(rouse)
+	d.phase()
 }
 
 // phase gives each worker its share of the spans, works, and returns when
 // all of them are done.
-func (d *ParEngine) phase(rouse bool) {
+func (d *ParEngine) phase() {
 	n := len(d.spans)
 	d.left.Store(int64(n))
 	for k := len(d.ws) - 1; k >= 0; k-- {
 		w := &d.ws[k]
 		w.work.Store(uint64(k*n/len(d.ws))<<32 | uint64((k+1)*n/len(d.ws)))
-		if k > 0 && rouse {
+		// A helper that parks again and again is one with no CPU of its
+		// own, or with little to do: woken every time, it would cost this
+		// goroutine a wake, and the CPU while it polls, for each.
+		if k > 0 && w.parked.Load() && time.Since(w.roused) > rouseGap {
+			w.roused = time.Now()
 			w.rouse()
 		}
 	}
@@ -517,7 +540,8 @@ func (d *ParEngine) phase(rouse bool) {
 	d.ws[0].await(func() bool { return d.left.Load() == 0 })
 }
 
-// emptyOut forgets what the span sent: it has been delivered.
+// emptyOut forgets what the span sent: it has been delivered. Whoever is
+// about to run the span calls it first.
 func (s *span) emptyOut() {
 	for j := range s.out {
 		s.out[j] = s.out[j][:0]
@@ -527,9 +551,6 @@ func (s *span) emptyOut() {
 // run fires the events before end of the span's partitions from *i on,
 // leaving in *i the partition it is at.
 func (s *span) run(i *int, end Time) {
-	if *i == 0 {
-		s.emptyOut()
-	}
 	for ; *i < len(s.parts); *i++ {
 		if s.next[*i] < end {
 			p := s.parts[*i]
@@ -544,6 +565,7 @@ func (s *span) run(i *int, end Time) {
 // lowest partition id winning, and the partitions after it still run, so
 // that what Run re-raises does not depend on who ran what when.
 func (d *ParEngine) runSpan(s *span) {
+	s.emptyOut()
 	for i := 0; i < len(s.parts); i++ { // i++: past the partition that panicked
 		func() {
 			defer func() {
@@ -573,12 +595,11 @@ func (d *ParEngine) deliver(to *span) {
 		out := d.spans[i].out[to.id]
 		for k := range out {
 			m := &out[k]
-			q := &d.parts[m.dst].q
+			j := m.dst - to.id*d.spanLen
+			q := &to.parts[j].q
 			q.Schedule(m.at-q.now, m.fn)
 			m.fn = nil // don't pin the closure in the reused buffer
-			if j := m.dst - to.id*d.spanLen; m.at < to.next[j] {
-				to.next[j] = m.at
-			}
+			to.next[j] = min(to.next[j], m.at)
 		}
 	}
 	to.min = slices.Min(to.next)
