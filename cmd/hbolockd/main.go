@@ -55,6 +55,20 @@ import (
 	"repro/internal/obs"
 )
 
+// newServer bounds how long a connection may take to deliver a request
+// or sit idle: without the limits one client that sends half a request
+// line holds a connection and a goroutine for as long as it likes. The
+// read limits end once a request's small body is in, so they do not cut
+// short an acquire that waits out its -op-timeout.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", "localhost:9151", "listen address (host:port; :0 picks a port)")
@@ -171,9 +185,9 @@ func main() {
 	var handler atomic.Pointer[http.Handler]
 	recovering := lockserv.RecoveringHandler(50 * time.Millisecond)
 	handler.Store(&recovering)
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	srv := newServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		(*handler.Load()).ServeHTTP(w, req)
-	})}
+	}))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -108,5 +110,48 @@ func TestSIGTERMFromTheFirstAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: access log: %v", round, err)
 		}
+	}
+}
+
+// TestHalfSentHeaderIsCutOff: a client that sends part of a request line
+// and then nothing must lose its connection when ReadHeaderTimeout runs
+// out, not hold it and a server goroutine forever. The server is the one
+// main builds; the client waits on a read deadline, not a sleep.
+func TestHalfSentHeaderIsCutOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the daemon's 5 s header timeout")
+	}
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("server timeouts unset: header %v, read %v, idle %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/stats HT")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(srv.ReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers a timed-out header with nothing, or with a 408
+	// it then closes behind; either way the stream ends.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %v after half a request line: %v", srv.ReadHeaderTimeout+10*time.Second, err)
 	}
 }

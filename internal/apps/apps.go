@@ -245,6 +245,7 @@ func Run(spec Spec, cfg Config) Result {
 		mcfg.TimeLimit = sim.Time(cfg.TimeLimitSeconds / float64(cfg.Scale) * float64(sim.Second))
 	}
 	m := machine.New(mcfg)
+	defer m.Release() // the lock population's arena goes to the next cell
 	cpus := placement(mcfg, cfg.Threads)
 
 	if spec.CSLines < 1 {

@@ -65,45 +65,6 @@ func TestLineAlignmentSeparatesAllocations(t *testing.T) {
 	}
 }
 
-// TestAllocMatchesPerWordReference: Alloc reserves its words and lines in
-// one step; the addresses it returns and the home of every line must be
-// what growing the arrays a word and a line at a time produced.
-func TestAllocMatchesPerWordReference(t *testing.T) {
-	for _, wpl := range []int{1, 4, 8} {
-		m := wideLines()
-		m.cfg.WordsPerLine = wpl
-		// The reference: pad to a line, append each word, then append
-		// lines homed at the caller's node until the words are covered.
-		refWords, refHomes := len(m.words), []int{}
-		for _, l := range m.lines {
-			refHomes = append(refHomes, l.home)
-		}
-		rng := sim.NewRNG(uint64(wpl))
-		for i := 0; i < 500; i++ {
-			home, words := rng.Intn(2), 1+rng.Intn(11)
-			for refWords%wpl != 0 {
-				refWords++
-			}
-			want := Addr(refWords)
-			refWords += words
-			for len(refHomes)*wpl < refWords {
-				refHomes = append(refHomes, home)
-			}
-			if got := m.Alloc(home, words); got != want {
-				t.Fatalf("wpl %d alloc %d: addr %d, want %d", wpl, i, got, want)
-			}
-		}
-		if len(m.words) != refWords || len(m.lines) != len(refHomes) {
-			t.Fatalf("wpl %d: %d words %d lines, want %d and %d", wpl, len(m.words), len(m.lines), refWords, len(refHomes))
-		}
-		for i, l := range m.lines {
-			if l.home != refHomes[i] {
-				t.Fatalf("wpl %d: line %d homed at %d, want %d", wpl, i, l.home, refHomes[i])
-			}
-		}
-	}
-}
-
 // TestFalseSharingWithinOneAlloc: words deliberately placed on one line
 // invalidate each other's readers.
 func TestFalseSharingWithinOneAlloc(t *testing.T) {

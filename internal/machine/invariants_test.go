@@ -116,7 +116,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			l.sharers.add(0)
 		}, "Uncached with sharers"},
 		{"attribution-drift", func(m *Machine, a Addr) {
-			m.lineOf(a).traf.local++
+			m.cold[m.lineOf(a).cold].traf.local++
 		}, "local traffic"},
 	}
 	for _, tc := range cases {

@@ -2,8 +2,8 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -53,18 +53,27 @@ type lineTraffic struct {
 	global    uint64 // interconnect crossings (matches Stats.Global)
 }
 
+// line is the part of a directory entry every access reads: 32 bytes
+// the collector never scans, and all an untouched line costs.
 type line struct {
-	home    int // home node of the backing memory
-	state   lineState
-	owner   int // cpu id when stateModified
-	sharers sharerSet
-	waiters []*Proc // procs parked in SpinUntil on this line
 	// busyUntil serializes ownership/data transfers of this line: a
 	// cache line can only move between caches one transfer at a time,
 	// so a burst of misses (the test&set storm after a release) queues.
 	// This serialization is what makes TATAS collapse under contention.
 	busyUntil sim.Time
-	traf      lineTraffic
+	sharers   sharerSet
+	cold      uint32 // index into Machine.cold; 0 = never missed
+	owner     int32  // cpu id when stateModified
+	home      int32  // home node of the backing memory
+	state     lineState
+}
+
+// coldLine is what only a miss or a park needs, created by touch: an
+// application declares thousands of locks and hammers a handful.
+type coldLine struct {
+	index   int     // of the line in Machine.lines
+	waiters []*Proc // procs parked in SpinUntil on this line
+	traf    lineTraffic
 }
 
 // Stats accumulates coherence-traffic counters. Local transactions are
@@ -100,8 +109,8 @@ type Machine struct {
 	cfg   Config
 	eng   *sim.Engine
 	rng   *sim.RNG
-	words []uint64
-	lines []line
+	arena                 // words and lines
+	cold  []coldLine      // index 0 reserved: line.cold == 0 means none
 	buses []*sim.Resource // one per node
 	link  *sim.Resource
 
@@ -122,6 +131,7 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	cfg.WordsPerLine = max(cfg.WordsPerLine, 1) // 0 means 1
 	eng := sim.NewEngine()
 	if cfg.TimeLimit > 0 {
 		eng.SetLimit(cfg.TimeLimit)
@@ -129,12 +139,13 @@ func New(cfg Config) *Machine {
 	if cfg.TieBreakSeed != 0 {
 		eng.Perturb(cfg.TieBreakSeed)
 	}
+	a := arenaPool.Get().(*arena)
 	m := &Machine{
 		cfg:            cfg,
 		eng:            eng,
 		rng:            sim.NewRNG(cfg.Seed),
-		words:          make([]uint64, 1, 1024), // index 0 reserved (NilAddr)
-		lines:          make([]line, 1, 1024),
+		arena:          arena{extend(a.words, 1), extend(a.lines, 1)}, // index 0 reserved (NilAddr)
+		cold:           make([]coldLine, 1, 64),
 		link:           sim.NewResource(eng, "link"),
 		stats:          Stats{Local: make([]uint64, cfg.Nodes)},
 		labels:         map[int]string{},
@@ -150,6 +161,27 @@ func New(cfg Config) *Machine {
 		m.faults = fault.NewInjector(cfg.Fault, cfg.Nodes)
 	}
 	return m
+}
+
+// arena is a machine's word and line storage, all zero.
+type arena struct {
+	words []uint64
+	lines []line
+}
+
+// arenaPool recycles arenas across machines, as sim's heapPool does event
+// heaps: a sweep of application cells would otherwise fault in, clear
+// and double its way up to the same megabytes in every cell.
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+
+// Release hands the machine's memory to the next New. It is optional (an
+// unreleased machine's arena goes to the collector with it) and final:
+// the machine must not be used afterwards (an access panics).
+func (m *Machine) Release() {
+	clear(m.words)
+	clear(m.lines)
+	arenaPool.Put(&arena{m.words[:0], m.lines[:0]})
+	m.arena, m.cold = arena{}, nil
 }
 
 // FaultStats returns the fault-injection counts observed so far (zero
@@ -187,50 +219,56 @@ func (m *Machine) Now() sim.Time { return m.eng.Now() }
 func (m *Machine) RNG() *sim.RNG { return m.rng }
 
 // Alloc reserves words of shared memory homed in the given node and
-// returns the address of the first word. Each word is its own cache line.
+// returns the address of the first word, on a line boundary: separate
+// allocations never share a line (collocation is one multi-word Alloc).
 func (m *Machine) Alloc(home, words int) Addr {
-	if home < 0 || home >= m.cfg.Nodes {
-		panic(fmt.Sprintf("machine: Alloc home node %d out of range", home))
-	}
+	return m.alloc(words, func(int) int { return home })
+}
+
+// AllocLines is Alloc(home(0), 1) ... Alloc(home(n-1), 1) in one step: a
+// one-word Alloc lands on the next line boundary, so element i is the
+// word at base + i*WordsPerLine, alone on a line homed at home(i).
+func (m *Machine) AllocLines(n int, home func(i int) int) Addr {
+	return m.alloc((n-1)*m.cfg.WordsPerLine+1, home)
+}
+
+// alloc pads the arena to a line boundary and appends words zero words
+// and the lines that cover them, the i-th new line homed at home(i).
+func (m *Machine) alloc(words int, home func(i int) int) Addr {
 	if words <= 0 {
 		panic("machine: Alloc of non-positive size")
 	}
-	wpl := m.wordsPerLine()
-	// Align to a line boundary so separate allocations never share a
-	// line (deliberate collocation uses a single multi-word Alloc).
+	wpl := m.cfg.WordsPerLine
 	base := (len(m.words) + wpl - 1) / wpl * wpl
-	end := base + words
-	m.words = extend(m.words, end)
 	first := len(m.lines)
-	m.lines = extend(m.lines, (end+wpl-1)/wpl)
+	m.words = extend(m.words, base+words)
+	m.lines = extend(m.lines, (base+words+wpl-1)/wpl)
 	for i := first; i < len(m.lines); i++ {
-		m.lines[i].home = home
+		h := home(i - first)
+		if h < 0 || h >= m.cfg.Nodes {
+			panic(fmt.Sprintf("machine: Alloc home node %d out of range", h))
+		}
+		m.lines[i].home = int32(h)
 	}
 	return Addr(base)
 }
 
-// extend returns s lengthened to n elements, the new ones zero. When it
-// has to reallocate it at least doubles: the runtime grows a large slice
-// by a quarter, and a model that allocates thousands of locks one Alloc
-// at a time then copies its 104-byte lines five times over, not twice.
+// extend returns s lengthened to n elements, the new ones zero: capacity
+// beyond len is zero from make on and s never shrinks, so in place it is
+// a reslice. A move at least doubles (append grows large slices by 1/4)
+// and starts at 1024.
 func extend[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = slices.Grow(s, max(n-len(s), len(s)))
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return append(s, make([]T, n-len(s))...)
-}
-
-// wordsPerLine returns the configured line width (>= 1).
-func (m *Machine) wordsPerLine() int {
-	if m.cfg.WordsPerLine < 1 {
-		return 1
-	}
-	return m.cfg.WordsPerLine
+	g := make([]T, n, max(n, 2*cap(s), 1024))
+	copy(g, s)
+	return g
 }
 
 // lineOf returns the cache-line metadata covering address a.
 func (m *Machine) lineOf(a Addr) *line {
-	return &m.lines[int(a)/m.wordsPerLine()]
+	return &m.lines[int(a)/m.cfg.WordsPerLine]
 }
 
 // Peek reads a word without simulating any cost or coherence action.
@@ -253,8 +291,9 @@ func (m *Machine) SeedOwner(a Addr, cpu int, v uint64) {
 	m.words[a] = v
 	l := m.lineOf(a)
 	l.state = stateModified
-	l.owner = cpu
+	l.owner = int32(cpu)
 	l.sharers = 0
+	m.touch(l, a) // so CheckInvariants sees the seeded owner
 }
 
 // NodeOf maps a cpu id to its node.
@@ -326,26 +365,28 @@ func (m *Machine) Stats() Stats {
 // ResetStats zeroes the traffic counters, aggregate and per-line
 // (e.g. after a warmup phase).
 func (m *Machine) ResetStats() {
-	for i := range m.stats.Local {
-		m.stats.Local[i] = 0
-	}
+	clear(m.stats.Local)
 	m.stats.Global = 0
-	for i := range m.lines {
-		m.lines[i].traf = lineTraffic{}
+	for i := range m.cold {
+		m.cold[i].traf = lineTraffic{}
 	}
 }
 
-// countLocal records one bus transaction at node for l's line, in both
-// the aggregate and the per-line counters.
-func (m *Machine) countLocal(l *line, node int) {
-	m.stats.Local[node]++
-	l.traf.local++
+// touch returns the cold part of a's line l, created at its first miss
+// or park. The table moves when it grows: hold no *coldLine across a Sleep.
+func (m *Machine) touch(l *line, a Addr) *coldLine {
+	if l.cold == 0 {
+		l.cold = uint32(len(m.cold))
+		m.cold = append(m.cold, coldLine{index: int(a) / m.cfg.WordsPerLine})
+	}
+	return &m.cold[l.cold]
 }
 
-// countGlobal records one interconnect crossing for l's line.
-func (m *Machine) countGlobal(l *line) {
-	m.stats.Global++
-	l.traf.global++
+// countLocal records one bus transaction at node for c's line, in both
+// the aggregate and the per-line counters.
+func (m *Machine) countLocal(c *coldLine, node int) {
+	m.stats.Local[node]++
+	c.traf.local++
 }
 
 // Label tags the cache line containing a so traffic reports can name it
@@ -354,14 +395,14 @@ func (m *Machine) Label(a Addr, label string) {
 	if a == NilAddr || int(a) >= len(m.words) {
 		panic(fmt.Sprintf("machine: Label of invalid address %d", a))
 	}
-	m.labels[int(a)/m.wordsPerLine()] = label
+	m.labels[int(a)/m.cfg.WordsPerLine] = label
 }
 
 // LabelRange tags every cache line covering [base, base+words). Line 0
 // (the reserved NilAddr region, which may pad the range's start when
 // WordsPerLine > 1) is skipped.
 func (m *Machine) LabelRange(base Addr, words int, label string) {
-	wpl := m.wordsPerLine()
+	wpl := m.cfg.WordsPerLine
 	lo := int(base) / wpl
 	hi := (int(base) + words - 1) / wpl
 	if words <= 0 || hi >= len(m.lines) {
@@ -397,19 +438,20 @@ type LineStats struct {
 func (s LineStats) Traffic() uint64 { return s.Local + s.Global }
 
 // LineStats returns per-line traffic for every line that saw any, in
-// ascending address order. Addr is the line's first word.
+// ascending address order (the cold table is in first-touch order). Addr
+// is the line's first word.
 func (m *Machine) LineStats() []LineStats {
 	var out []LineStats
-	wpl := m.wordsPerLine()
-	for i := 1; i < len(m.lines); i++ {
-		t := m.lines[i].traf
-		if t.misses == 0 && t.invals == 0 && t.transfers == 0 && t.local == 0 && t.global == 0 {
+	wpl := m.cfg.WordsPerLine
+	for _, c := range m.cold[1:] {
+		t := c.traf
+		if t == (lineTraffic{}) {
 			continue
 		}
 		out = append(out, LineStats{
-			Addr:          Addr(i * wpl),
-			Home:          m.lines[i].home,
-			Label:         m.labels[i],
+			Addr:          Addr(c.index * wpl),
+			Home:          int(m.lines[c.index].home),
+			Label:         m.labels[c.index],
 			Misses:        t.misses,
 			Invalidations: t.invals,
 			Transfers:     t.transfers,
@@ -417,19 +459,15 @@ func (m *Machine) LineStats() []LineStats {
 			Global:        t.global,
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
 // HotLines returns the n busiest lines by total traffic, ties broken by
 // address so a fixed seed yields a fixed report.
 func (m *Machine) HotLines(n int) []LineStats {
-	ls := m.LineStats()
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Traffic() != ls[j].Traffic() {
-			return ls[i].Traffic() > ls[j].Traffic()
-		}
-		return ls[i].Addr < ls[j].Addr
-	})
+	ls := m.LineStats() // by address, which a stable sort keeps among ties
+	sort.SliceStable(ls, func(i, j int) bool { return ls[i].Traffic() > ls[j].Traffic() })
 	if n > 0 && len(ls) > n {
 		ls = ls[:n]
 	}
@@ -507,11 +545,9 @@ func (m *Machine) schedulePreempt() {
 // an invalidation with a hardware-realistic scramble of who gets there
 // first.
 func (m *Machine) wakeWaiters(l *line) {
-	if len(l.waiters) == 0 {
-		return
-	}
-	ws := l.waiters
-	l.waiters = l.waiters[:0]
+	c := &m.cold[l.cold]
+	ws := c.waiters
+	c.waiters = c.waiters[:0]
 	for _, w := range ws {
 		var d sim.Time
 		if j := m.cfg.Lat.WakeJitter; j > 0 {
@@ -521,12 +557,11 @@ func (m *Machine) wakeWaiters(l *line) {
 	}
 }
 
-// cached reports whether cpu currently holds a valid copy of a's line.
-func (m *Machine) cached(cpu int, a Addr) bool {
-	l := m.lineOf(a)
+// cachedBy reports whether cpu currently holds a valid copy of l.
+func (l *line) cachedBy(cpu int) bool {
 	switch l.state {
 	case stateModified:
-		return l.owner == cpu
+		return int(l.owner) == cpu
 	case stateShared:
 		return l.sharers.has(cpu)
 	}

@@ -22,19 +22,21 @@ import "fmt"
 // whole-machine checks are cheap enough to run after every simulation.
 
 // CheckInvariants validates the directory's structural invariants for
-// every line, plus any violation latched by the per-access probes. The
-// waiter check only holds once the simulation has drained (spinners may
-// legitimately be parked mid-run), so call it after Run.
+// every touched line (only a miss, or SeedOwner, which touches, takes a
+// line out of the valid Uncached state it is allocated in), plus any
+// violation latched by the per-access probes. The waiter check only holds
+// once the simulation has drained (spinners may legitimately be parked
+// mid-run), so call it after Run.
 func (m *Machine) CheckInvariants() error {
 	if m.probeFailure != nil {
 		return m.probeFailure
 	}
-	for i := range m.lines {
-		if err := m.checkLine(i); err != nil {
+	for _, c := range m.cold[1:] {
+		if err := m.checkLine(c.index); err != nil {
 			return err
 		}
-		if n := len(m.lines[i].waiters); n != 0 {
-			return fmt.Errorf("machine: line %d: %d waiters left parked", i, n)
+		if n := len(c.waiters); n != 0 {
+			return fmt.Errorf("machine: line %d: %d waiters left parked", c.index, n)
 		}
 	}
 	return m.CheckConservation()
@@ -48,7 +50,7 @@ func (m *Machine) checkLine(i int) error {
 		if !l.sharers.empty() {
 			return fmt.Errorf("machine: line %d: Modified with sharers %b", i, l.sharers)
 		}
-		if l.owner < 0 || l.owner >= m.cfg.TotalCPUs() {
+		if l.owner < 0 || int(l.owner) >= m.cfg.TotalCPUs() {
 			return fmt.Errorf("machine: line %d: Modified with owner %d out of range", i, l.owner)
 		}
 	case stateShared:
@@ -73,9 +75,9 @@ func (m *Machine) checkLine(i int) error {
 // one line and vice versa.
 func (m *Machine) CheckConservation() error {
 	var local, global uint64
-	for i := range m.lines {
-		local += m.lines[i].traf.local
-		global += m.lines[i].traf.global
+	for i := range m.cold {
+		local += m.cold[i].traf.local
+		global += m.cold[i].traf.global
 	}
 	if want := m.stats.TotalLocal(); local != want {
 		return fmt.Errorf("machine: per-line local traffic %d != machine total %d", local, want)
@@ -101,10 +103,7 @@ func (m *Machine) probeFail(err error) {
 
 // probeLine runs the per-line state checks at an access completion.
 func (m *Machine) probeLine(a Addr) {
-	if !m.cfg.Probes || m.probeFailure != nil {
-		return
-	}
-	if err := m.checkLine(int(a) / m.wordsPerLine()); err != nil {
+	if err := m.checkLine(int(a) / m.cfg.WordsPerLine); err != nil {
 		m.probeFail(err)
 	}
 }
@@ -116,7 +115,7 @@ func (m *Machine) probeAfterWrite(cpu int, a Addr) {
 		return
 	}
 	l := m.lineOf(a)
-	if l.state != stateModified || l.owner != cpu {
+	if l.state != stateModified || int(l.owner) != cpu {
 		m.probeFail(fmt.Errorf(
 			"machine: cpu %d completed a write to %d but directory shows state=%d owner=%d",
 			cpu, a, l.state, l.owner))
@@ -130,7 +129,7 @@ func (m *Machine) probeAfterRead(cpu int, a Addr) {
 	if !m.cfg.Probes || m.probeFailure != nil {
 		return
 	}
-	if !m.cached(cpu, a) {
+	if !m.lineOf(a).cachedBy(cpu) {
 		m.probeFail(fmt.Errorf(
 			"machine: cpu %d completed a read of %d without a valid copy", cpu, a))
 		return

@@ -95,20 +95,22 @@ func (p *Proc) checkAddr(a Addr) *line {
 	return p.m.lineOf(a)
 }
 
-// miss models one coherence miss of total unloaded latency d in two
-// phases. First the request travels to the line (half the latency, plus
-// any bus/link queueing the caller accumulated in extra); then the line
-// serves the transfer (the other half), one transfer at a time, in
-// request-arrival order. Arrival-order service is what gives nearby CPUs
-// their NUCA advantage: a local CAS issued after a remote one still
+// miss models one coherence miss, of the unloaded latency d that fetch
+// charges, in two phases. First the request travels to the line (half
+// the latency, plus the bus/link queueing fetch found in extra); then
+// the line serves the transfer (the other half), one transfer at a time,
+// in request-arrival order. Arrival-order service is what gives nearby
+// CPUs their NUCA advantage: a local CAS issued after a remote one still
 // reaches the line first and wins the race.
-func (p *Proc) miss(l *line, d, extra sim.Time) {
+func (p *Proc) miss(l *line, a Addr, write bool) {
+	d, extra := p.fetch(l, a, write)
 	if f := p.m.faults; f != nil {
 		// Transient NACKs: the request is bounced at the target and
 		// retried after a delay; each bounce burns one more bus
-		// transaction at the requester's node.
+		// transaction at the requester's node (the cold table is indexed
+		// afresh: it may have moved during the last Sleep).
 		for r := f.MaxRetries(); r > 0 && f.NACKed(p.node); r-- {
-			p.m.countLocal(l, p.node)
+			p.m.countLocal(&p.m.cold[l.cold], p.node)
 			p.proc.Sleep(f.RetryDelay())
 		}
 	}
@@ -147,6 +149,50 @@ func (p *Proc) linkWait() sim.Time {
 	return d - p.m.cfg.LinkService
 }
 
+// fetch charges the transfer that brings a's line l into p's cache (for
+// writing: exclusively) by the state observed at issue, and returns its
+// unloaded latency and the bus and link queueing ahead of it.
+func (p *Proc) fetch(l *line, a Addr, write bool) (base, extra sim.Time) {
+	m := p.m
+	c := m.touch(l, a)
+	extra = m.cfg.Lat.OpOverhead + p.busWait(p.node)
+	m.countLocal(c, p.node)
+	c.traf.misses++
+	switch {
+	case write && l.state == stateShared && l.sharers.has(p.cpu):
+		// Upgrade: invalidate the other sharers, no data transfer.
+		base = p.faultScale(m.cfg.Lat.Upgrade, p.node)
+		extra += p.invalidateRemoteSharers(l, c)
+	case l.state == stateModified:
+		src := m.NodeOf(int(l.owner))
+		base = p.faultScale(m.c2cLatency(p.node, src), src)
+		c.traf.transfers++
+		extra += p.crossTo(c, src)
+	default: // Shared without our copy, or uncached: fetch from home.
+		home := int(l.home)
+		base = p.faultScale(m.memLatency(p.node, home), home)
+		extra += p.crossTo(c, home)
+		if write {
+			extra += p.invalidateRemoteSharers(l, c)
+		}
+	}
+	return base, extra
+}
+
+// crossTo charges the transaction on c's line the interconnect crossing
+// and the bus of node when that is not p's own, and returns the queueing
+// delay.
+func (p *Proc) crossTo(c *coldLine, node int) sim.Time {
+	if node == p.node {
+		return 0
+	}
+	d := p.linkWait() + p.busWait(node)
+	p.m.countLocal(c, node)
+	p.m.stats.Global++
+	c.traf.global++
+	return d
+}
+
 // readAccess performs one load and returns the value observed at
 // completion time.
 func (p *Proc) readAccess(a Addr) uint64 {
@@ -155,42 +201,19 @@ func (p *Proc) readAccess(a Addr) uint64 {
 	m := p.m
 	lat := m.cfg.Lat
 	for {
-		if m.cached(p.cpu, a) {
+		if l.cachedBy(p.cpu) {
 			p.proc.Sleep(lat.OpOverhead + lat.LoadHit)
-			if m.cached(p.cpu, a) {
+			if l.cachedBy(p.cpu) {
 				m.probeAfterRead(p.cpu, a)
 				return m.words[a]
 			}
 			continue // lost the line while the hit retired; re-fetch
 		}
-		// Miss: charge by the state observed at issue.
-		extra := lat.OpOverhead + p.busWait(p.node)
-		m.countLocal(l, p.node)
-		l.traf.misses++
-		var base sim.Time
-		switch {
-		case l.state == stateModified:
-			src := m.NodeOf(l.owner)
-			base = p.faultScale(m.c2cLatency(p.node, src), src)
-			l.traf.transfers++
-			if src != p.node {
-				extra += p.linkWait() + p.busWait(src)
-				m.countLocal(l, src)
-				m.countGlobal(l)
-			}
-		default:
-			base = p.faultScale(m.memLatency(p.node, l.home), l.home)
-			if l.home != p.node {
-				extra += p.linkWait() + p.busWait(l.home)
-				m.countLocal(l, l.home)
-				m.countGlobal(l)
-			}
-		}
-		p.miss(l, base, extra)
+		p.miss(l, a, false)
 		// Completion: join the sharers (downgrading a dirty owner).
 		if l.state == stateModified {
 			l.sharers = 0
-			l.sharers.add(l.owner)
+			l.sharers.add(int(l.owner))
 			l.state = stateShared
 		} else if l.state == stateUncached {
 			l.state = stateShared
@@ -210,46 +233,19 @@ func (p *Proc) writeAccess(a Addr) *uint64 {
 	m := p.m
 	lat := m.cfg.Lat
 	for {
-		if l.state == stateModified && l.owner == p.cpu {
+		if l.state == stateModified && int(l.owner) == p.cpu {
 			p.proc.Sleep(lat.OpOverhead + lat.StoreOwned)
-			if l.state == stateModified && l.owner == p.cpu {
+			if l.state == stateModified && int(l.owner) == p.cpu {
 				m.probeAfterWrite(p.cpu, a)
 				return &m.words[a]
 			}
 			continue // ownership stolen while the op retired; redo
 		}
-		extra := lat.OpOverhead + p.busWait(p.node)
-		m.countLocal(l, p.node)
-		l.traf.misses++
-		var base sim.Time
-		switch {
-		case l.state == stateShared && l.sharers.has(p.cpu):
-			// Upgrade: invalidate the other sharers, no data transfer.
-			base = p.faultScale(lat.Upgrade, p.node)
-			extra += p.invalidateRemoteSharers(l)
-		case l.state == stateModified:
-			src := m.NodeOf(l.owner)
-			base = p.faultScale(m.c2cLatency(p.node, src), src)
-			l.traf.transfers++
-			if src != p.node {
-				extra += p.linkWait() + p.busWait(src)
-				m.countLocal(l, src)
-				m.countGlobal(l)
-			}
-		default: // Shared without our copy, or uncached: fetch from home.
-			base = p.faultScale(m.memLatency(p.node, l.home), l.home)
-			if l.home != p.node {
-				extra += p.linkWait() + p.busWait(l.home)
-				m.countLocal(l, l.home)
-				m.countGlobal(l)
-			}
-			extra += p.invalidateRemoteSharers(l)
-		}
-		p.miss(l, base, extra)
+		p.miss(l, a, true)
 		// Completion: take exclusive ownership.
 		l.sharers = 0
 		l.state = stateModified
-		l.owner = p.cpu
+		l.owner = int32(p.cpu)
 		m.wakeWaiters(l)
 		m.probeAfterWrite(p.cpu, a)
 		return &m.words[a]
@@ -259,27 +255,14 @@ func (p *Proc) writeAccess(a Addr) *uint64 {
 // invalidateRemoteSharers counts and charges the invalidations sent to
 // nodes (other than p's) that hold shared copies of l. Invalidations to
 // sharers in p's own node ride the requester's own bus transaction.
-func (p *Proc) invalidateRemoteSharers(l *line) sim.Time {
+func (p *Proc) invalidateRemoteSharers(l *line, c *coldLine) sim.Time {
 	var extra sim.Time
-	m := p.m
-	for n := 0; n < m.cfg.Nodes; n++ {
-		if n == p.node {
-			continue
-		}
-		hasSharer := false
-		lo, hi := n*m.cfg.CPUsPerNode, (n+1)*m.cfg.CPUsPerNode
-		for c := lo; c < hi; c++ {
-			if l.sharers.has(c) {
-				hasSharer = true
-				break
-			}
-		}
-		if hasSharer {
-			extra += p.linkWait()
-			extra += p.busWait(n)
-			m.countLocal(l, n)
-			m.countGlobal(l)
-			l.traf.invals++
+	per := p.m.cfg.CPUsPerNode
+	node := sharerSet(1)<<uint(per) - 1 // the CPUs of node 0
+	for n := 0; n < p.m.cfg.Nodes; n++ {
+		if n != p.node && l.sharers&(node<<uint(n*per)) != 0 {
+			extra += p.crossTo(c, n)
+			c.traf.invals++
 		}
 	}
 	return extra
@@ -331,13 +314,14 @@ func (p *Proc) SpinUntil(a Addr, pred func(uint64) bool) uint64 {
 		if pred(v) {
 			return v
 		}
-		if !p.m.cached(p.cpu, a) {
+		l := p.m.lineOf(a)
+		if !l.cachedBy(p.cpu) {
 			// Invalidated between our load's completion and now (the
 			// load retried internally); re-read.
 			continue
 		}
-		l := p.m.lineOf(a)
-		l.waiters = append(l.waiters, p)
+		c := p.m.touch(l, a)
+		c.waiters = append(c.waiters, p)
 		p.proc.Block()
 	}
 }

@@ -65,6 +65,7 @@ func NewBench(cfg NewBenchConfig) NewBenchResult {
 // the acquire blocks.
 func runBench(cfg NewBenchConfig, timeout sim.Time) DegradedResult {
 	m := machine.New(cfg.Machine)
+	defer m.Release()
 	cpus := Placement(cfg.Machine, cfg.Threads)
 	w0 := m.AllocatedWords()
 	var l simlock.Lock = buildLock(cfg.Lock, m, cpus, cfg.Tuning)

@@ -37,6 +37,7 @@ const doneSentinel = ^uint64(0)
 // observe a new owner before contending again.
 func Traditional(cfg TraditionalConfig) TraditionalResult {
 	m := machine.New(cfg.Machine)
+	defer m.Release()
 	cpus := Placement(cfg.Machine, cfg.Threads)
 	l := buildLock(cfg.Lock, m, cpus, cfg.Tuning)
 

@@ -45,6 +45,7 @@ func Uncontested(cfg machine.Config, lockName string, sc Scenario, rounds int) s
 		rounds = 1
 	}
 	m := machine.New(cfg)
+	defer m.Release()
 
 	// Thread 0 is the previous owner, thread 1 the measuring thread.
 	ownerCPU := 0

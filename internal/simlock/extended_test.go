@@ -114,7 +114,7 @@ func TestReactiveSwitchesModes(t *testing.T) {
 	m := testMachine(9)
 	cpus := roundRobinCPUs(m, 8)
 	l := New("REACTIVE", m, 0, cpus, DefaultTuning()).(*specLock)
-	mode := l.addrs[l.spec.WordIndex("mode")][0]
+	mode := l.addr(l.spec.WordIndex("mode"), 0)
 	sawQueue := false
 	for tid := 0; tid < 8; tid++ {
 		tid := tid
@@ -146,7 +146,7 @@ func TestReactiveSwitchesModes(t *testing.T) {
 			l2.Acquire(p, 0)
 			l2.Release(p, 0)
 		}
-		if m2.Peek(l2.addrs[l2.spec.WordIndex("mode")][0]) != 0 {
+		if m2.Peek(l2.addr(l2.spec.WordIndex("mode"), 0)) != 0 {
 			t.Error("reactive lock left spin mode without contention")
 		}
 	})

@@ -32,7 +32,7 @@ func TestHBOGTSDOwnerBoundsGuard(t *testing.T) {
 	m := machine.New(cfg)
 	cpus := []int{0, 1}
 	l := New("HBO_GT_SD", m, 0, cpus, angryTuning()).(specTI)
-	lockWord := l.addrs[0][0]
+	lockWord := l.addr(0, 0)
 
 	// Corrupt the lock word: owner id 99 on a 2-node machine (the word
 	// holds node id + 1).

@@ -18,12 +18,13 @@ type specLock struct {
 	tun     Tuning
 	nodes   int
 	threads int
-	// addrs[w][i] is the simulated word backing element i of declared
-	// word w, in lockspec.Ref's flattened addressing. Allocation order
-	// is part of the lock's observable identity (addresses seed the
-	// machine's deterministic schedule), so FromSpec allocates words in
-	// declaration order, elements in index order.
-	addrs [][]machine.Addr
+	// base[w] + i*stride is the simulated word backing element i of
+	// declared word w (lockspec.Ref's flattened addressing), alone on its
+	// cache line. Addresses seed the machine's deterministic schedule, so
+	// FromSpec allocates words in declaration order, elements in index
+	// order.
+	base   []machine.Addr
+	stride machine.Addr
 	// scratch and nodeScratch back Env.Scratch and Env.NodeScratch.
 	// They are allocated on first use: most algorithms keep no host-side
 	// state, and applications build thousands of locks.
@@ -36,7 +37,8 @@ type specLock struct {
 // their node and per-thread words in the owning thread's node (cpus
 // maps thread ids to CPUs, as in Factory).
 func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun Tuning) Lock {
-	nodes := m.Config().Nodes
+	mcfg := m.Config()
+	nodes := mcfg.Nodes
 	if spec.MaxNodes > 0 && nodes > spec.MaxNodes {
 		panic("simlock: " + spec.Name + " supports fewer nodes than the machine has")
 	}
@@ -45,25 +47,26 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 		tun:     tun,
 		nodes:   nodes,
 		threads: len(cpus),
-		addrs:   make([][]machine.Addr, len(spec.Words)),
+		base:    make([]machine.Addr, len(spec.Words)),
+		stride:  machine.Addr(mcfg.WordsPerLine),
 	}
 	for wi, w := range spec.Words {
-		as := make([]machine.Addr, w.Elems(nodes, len(cpus)))
+		n := w.Elems(nodes, len(cpus))
 		per := w.Elems(1, 1) // elements per unit
-		for k := range as {
-			node := home
+		l.base[wi] = m.AllocLines(n, func(k int) int {
 			switch w.Scope {
 			case lockspec.ScopePerNode:
-				node = k / per
+				return k / per
 			case lockspec.ScopePerThread:
-				node = m.NodeOf(cpus[k/per])
+				return m.NodeOf(cpus[k/per])
 			}
-			as[k] = m.Alloc(node, 1)
-			if w.Init != nil {
-				m.Poke(as[k], w.Init(k, nodes))
+			return home
+		})
+		if w.Init != nil {
+			for k := 0; k < n; k++ {
+				m.Poke(l.addr(wi, k), w.Init(k, nodes))
 			}
 		}
-		l.addrs[wi] = as
 	}
 
 	// Wrap in the capability combination the spec declares, so an
@@ -84,6 +87,8 @@ func FromSpec(spec *lockspec.Spec, m *machine.Machine, home int, cpus []int, tun
 }
 
 func (l *specLock) Name() string { return l.spec.Name }
+
+func (l *specLock) addr(w, i int) machine.Addr { return l.base[w] + machine.Addr(i)*l.stride }
 
 // env binds p's environment to this lock for one operation. A
 // processor executes one lock operation at a time, so it owns a single
@@ -135,7 +140,7 @@ func (l specT) AcquireTimeout(p *machine.Proc, tid int, d sim.Time) bool {
 type specTI struct{ specT }
 
 func (l specTI) InjectWord(m *machine.Machine, v uint64) {
-	m.Poke(l.addrs[l.spec.Inject.W][l.spec.Inject.I], v)
+	m.Poke(l.addr(l.spec.Inject.W, l.spec.Inject.I), v)
 }
 
 // simPeeker is the zero-cost quiescence view.
@@ -144,7 +149,7 @@ type simPeeker struct {
 	m *machine.Machine
 }
 
-func (q simPeeker) Peek(w, i int) uint64 { return q.m.Peek(q.l.addrs[w][i]) }
+func (q simPeeker) Peek(w, i int) uint64 { return q.m.Peek(q.l.addr(w, i)) }
 func (q simPeeker) Nodes() int           { return q.l.nodes }
 func (q simPeeker) Threads() int         { return q.l.threads }
 
@@ -159,7 +164,7 @@ type simEnv struct {
 	deadline sim.Time
 }
 
-func (e *simEnv) addr(w, i int) machine.Addr { return e.l.addrs[w][i] }
+func (e *simEnv) addr(w, i int) machine.Addr { return e.l.addr(w, i) }
 
 func (e *simEnv) TID() int     { return e.tid }
 func (e *simEnv) Node() int    { return e.p.Node() }
@@ -171,7 +176,7 @@ func (e *simEnv) Distance(a, b int) int { return e.p.Machine().Distance(a, b) }
 // Tag is the first declared word's address — never zero (machine.Alloc
 // starts above zero) and unique per lock: the paper's HBO_GT publishes
 // the lock's address in is_spinning.
-func (e *simEnv) Tag() uint64 { return uint64(e.l.addrs[0][0]) }
+func (e *simEnv) Tag() uint64 { return uint64(e.l.base[0]) }
 
 func (e *simEnv) Load(w, i int) uint64     { return e.p.Load(e.addr(w, i)) }
 func (e *simEnv) Store(w, i int, v uint64) { e.p.Store(e.addr(w, i), v) }
@@ -219,30 +224,17 @@ func (e *simEnv) Expired() bool {
 	return e.deadline != 0 && e.p.Now() >= e.deadline
 }
 
-func (e *simEnv) AwaitZero(w, i int) bool {
+// await waits until pred holds for word (w, i) and returns the value
+// that satisfied it: parked on the line when unbounded, re-reading on
+// the timed quantum until the deadline (then false) otherwise.
+func (e *simEnv) await(w, i int, pred func(uint64) bool) (uint64, bool) {
 	a := e.addr(w, i)
 	if e.deadline == 0 {
-		e.p.SpinUntilZero(a)
-		return true
-	}
-	for e.p.Load(a) != 0 {
-		if e.p.Now() >= e.deadline {
-			return false
-		}
-		e.p.Delay(lockspec.TimedPollUnits)
-	}
-	return true
-}
-
-func (e *simEnv) AwaitWhile(w, i int, v uint64) (uint64, bool) {
-	a := e.addr(w, i)
-	if e.deadline == 0 {
-		return e.p.SpinWhileEquals(a, v), true
+		return e.p.SpinUntil(a, pred), true
 	}
 	for {
-		cur := e.p.Load(a)
-		if cur != v {
-			return cur, true
+		if v := e.p.Load(a); pred(v) {
+			return v, true
 		}
 		if e.p.Now() >= e.deadline {
 			return 0, false
@@ -251,44 +243,31 @@ func (e *simEnv) AwaitWhile(w, i int, v uint64) (uint64, bool) {
 	}
 }
 
+func (e *simEnv) AwaitZero(w, i int) bool {
+	_, ok := e.await(w, i, func(v uint64) bool { return v == 0 })
+	return ok
+}
+
+func (e *simEnv) AwaitWhile(w, i int, v uint64) (uint64, bool) {
+	return e.await(w, i, func(cur uint64) bool { return cur != v })
+}
+
 func (e *simEnv) AwaitLink(w, i int) uint64 {
 	return e.p.SpinUntil(e.addr(w, i), func(v uint64) bool { return v != 0 })
 }
 
 func (e *simEnv) ThrottleWait(w, i int, v uint64) bool {
-	a := e.addr(w, i)
-	if e.deadline == 0 {
-		e.p.SpinWhileEquals(a, v)
-		return true
-	}
-	for e.p.Load(a) == v {
-		if e.p.Now() >= e.deadline {
-			return false
-		}
-		e.p.Delay(lockspec.TimedPollUnits)
-	}
-	return true
+	_, ok := e.AwaitWhile(w, i, v)
+	return ok
 }
 
+// GrantWait is a test-and-test&set style wait: spin on a cached copy and
+// re-read after each release's invalidation (each release bumps the
+// word, so every waiter re-reads once per handover — the ticket lock's
+// known O(waiters) refill cost per release).
 func (e *simEnv) GrantWait(w, i int, my uint64) bool {
-	a := e.addr(w, i)
-	if e.deadline == 0 {
-		// Test-and-test&set style wait: spin on a cached copy and
-		// re-read after each release's invalidation (each release bumps
-		// the word, so every waiter re-reads once per handover — the
-		// ticket lock's known O(waiters) refill cost per release).
-		e.p.SpinUntil(a, func(v uint64) bool { return v == my })
-		return true
-	}
-	for {
-		if e.p.Load(a) == my {
-			return true
-		}
-		if e.p.Now() >= e.deadline {
-			return false
-		}
-		e.p.Delay(lockspec.TimedPollUnits)
-	}
+	_, ok := e.await(w, i, func(v uint64) bool { return v == my })
+	return ok
 }
 
 func (e *simEnv) SlowPath() {}
